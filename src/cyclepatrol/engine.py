@@ -23,13 +23,37 @@ points, so the following traversal takes exactly the updated traversing
 time.  This is the discrete-asynchronous reading of the protocol and is
 what makes the event times reproducible by the matrix oracle and the
 round model to tight tolerances.
+
+Scheduling is a kinetic event queue (the certificate-invalidation pattern
+of kinetic data structures): a binary heap holds one entry per key, that
+is per robot's arrival and per inner boundary's contact, ordered by a
+lower bound of its event time and stamped with a per-key version.  An event at boundary
+j re-queues only the arrivals of robots j, j+1 and the contacts j-1..j+1,
+whose inputs it changed; the superseded entries become stale and are
+dropped when popped, or by compacting the heap once stale entries
+outnumber live ones.  A parameter change rebuilds the queue.
+
+The heap is only a filter.  Candidate times are recomputed exactly, at
+the current clock and with the same arithmetic, for every entry whose key
+falls within TIME_EPS of the earliest recomputed time; the simultaneous-
+event rule is then applied to those candidates alone.  Because entries
+are ordered by lower bounds, no entry left in the heap can be earlier than that window,
+so the event chosen and its time are bit-identical to a full scan of all
+candidates.
+
+The traversing times e, the NaN-for-unknown boundary vector and the count
+of robots outside CONVERGENCE_RTOL are kept incrementally: writing y[j]
+updates only e_j and e_{j+1}.  A trace event therefore costs two tuple
+copies, and the convergence test is a comparison of that count with 0.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fleet import FleetConfig, GoalPartition, RobotParams, StaticallyCoverableError, compute_t_star
 
@@ -37,6 +61,13 @@ NAN = float("nan")
 
 TIME_EPS = 1e-9  # events closer than this are simultaneous
 CONVERGENCE_RTOL = 1e-3  # tooling threshold recorded in trace metadata
+# A queue entry is ordered by its candidate time minus
+# BOUND_MARGIN * (L / rate + |time|), where rate is the speed that divides
+# the distance.  The same candidate computed at two clock values differs
+# by a dozen roundings of a position (at most L) divided by rate, plus the
+# rounding of the time itself; BOUND_MARGIN is a few thousand ulps, so the
+# result is a lower bound of every later recomputation.
+BOUND_MARGIN = 1e-12
 
 
 class AssumptionError(ValueError):
@@ -106,12 +137,12 @@ def _fmt(x: float) -> str:
     return "nan" if math.isnan(x) else f"{x:.9f}"
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     time: float
     boundary: int
     robot: int  # arriving robot, or left robot of a pair contact
     pair: bool  # True: discovery/catch contact, False: arrival
+    rate: float  # speed dividing the remaining distance (sets the key margin)
 
 
 class Simulation:
@@ -120,6 +151,18 @@ class Simulation:
     Strictly sequential; deterministic given the initial state.  All
     positions are pinned to exact contact values at events, so repeated
     runs produce bit-identical traces.
+
+    Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
+    contact across inner boundary j.  ``next_candidate`` pops entries in
+    order of their time bounds, recomputes each live one exactly at
+    ``self.t``, stops once the next bound exceeds the earliest recomputed
+    time plus TIME_EPS, and pushes every popped entry back with a bound
+    from its recomputed time.  Per event
+    this costs O(log n) plus the few candidates in the window, not the
+    2n-1 of a full scan.
+
+    ``e_values()`` returns a fresh list copied from the maintained
+    traversing times; ``max_deviation()`` reads the same list.
     """
 
     def __init__(self, fleet: FleetConfig, positions, orientations, record_trace: bool = True):
@@ -152,6 +195,13 @@ class Simulation:
             initial_orientations=tuple(self.o),
         ) if record_trace else None
         self._converged_at: float | None = None
+        # incremental state: y with nan for unknown, e per robot, and the
+        # number of robots whose e is not within CONVERGENCE_RTOL of t_star
+        self._y_nan = [NAN] * (n - 1) + [self.L]
+        self._recompute_e()
+        self._queue: list[tuple[float, int, int]] = []
+        self._version = [0] * (2 * n - 1)
+        self._rebuild_queue()
 
     # -- validation ---------------------------------------------------
 
@@ -206,28 +256,49 @@ class Simulation:
         return all(y is not None for y in self.y)
 
     def e_values(self) -> list[float]:
-        """Traversing times per robot; nan while a boundary is undefined."""
-        out = []
-        for i in range(self.n):
-            lo, hi = self.left_value(i), self.right_value(i)
-            if lo is None or hi is None:
-                out.append(NAN)
-            else:
-                out.append((hi - lo - 2.0 * self.r[i]) / self.v[i])
-        return out
+        """Traversing times per robot (a fresh list); nan while a boundary
+        is undefined."""
+        return list(self._e)
 
     def y_snapshot(self) -> tuple[float, ...]:
-        return tuple(NAN if y is None else y for y in self.y)
+        return tuple(self._y_nan)
 
     def max_deviation(self) -> float:
         """max_i |e_i - t_star| / t_star, or inf while boundaries are missing."""
         if not self.all_boundaries_known():
             return math.inf
-        return max(abs(e - self.t_star) for e in self.e_values()) / self.t_star
+        return max(abs(e - self.t_star) for e in self._e) / self.t_star
 
     @property
     def converged_at(self) -> float | None:
         return self._converged_at
+
+    # -- incremental e and convergence state ---------------------------
+
+    def _within_rtol(self, e: float) -> bool:
+        # false for nan; since division by t_star > 0 is monotone, all
+        # robots within rtol <=> max_deviation() < CONVERGENCE_RTOL
+        return abs(e - self.t_star) / self.t_star < CONVERGENCE_RTOL
+
+    def _traversing_time(self, i: int) -> float:
+        lo, hi = self.left_value(i), self.right_value(i)
+        return NAN if lo is None or hi is None else (hi - lo - 2.0 * self.r[i]) / self.v[i]
+
+    def _update_e(self, i: int) -> None:
+        e = self._traversing_time(i)
+        self._off += self._within_rtol(self._e[i]) - self._within_rtol(e)
+        self._e[i] = e
+
+    def _recompute_e(self) -> None:
+        """All of e and the out-of-rtol count, after v, r or t_star changed."""
+        self._e = [self._traversing_time(i) for i in range(self.n)]
+        self._off = sum(not self._within_rtol(e) for e in self._e)
+
+    def _set_y(self, j: int, value: float) -> None:
+        self.y[j] = value
+        self._y_nan[j] = value
+        self._update_e(j)
+        self._update_e(j + 1)
 
     # -- scheduling ----------------------------------------------------
 
@@ -247,7 +318,7 @@ class Simulation:
                 return None
             dist = self.position(i) - (target_val + self.r[i])
         t_hit = self.t + max(dist, 0.0) / self.v[i]
-        return _Candidate(time=t_hit, boundary=boundary, robot=i, pair=False)
+        return _Candidate(t_hit, boundary, i, False, self.v[i])
 
     def _contact_candidate(self, j: int) -> _Candidate | None:
         # only inner boundaries are discoverable; the seam is fixed
@@ -261,28 +332,69 @@ class Simulation:
             return None
         gap = (self.position(b) - self.r[b]) - (self.position(a) + self.r[a])
         t_hit = self.t + max(gap, 0.0) / closing
-        return _Candidate(time=t_hit, boundary=j, robot=a, pair=True)
+        return _Candidate(t_hit, j, a, True, closing)
+
+    def _candidate(self, key: int) -> _Candidate | None:
+        n = self.n
+        return self._arrival_candidate(key) if key < n else self._contact_candidate(key - n)
+
+    def _lower_bound(self, c: _Candidate) -> float:
+        return c.time - BOUND_MARGIN * (self.L / c.rate + abs(c.time))
+
+    def _queue_key(self, key: int) -> None:
+        """Supersede key's queued entry, if any, and queue its candidate."""
+        self._version[key] += 1
+        c = self._candidate(key)
+        if c is not None:
+            heapq.heappush(self._queue, (self._lower_bound(c), key, self._version[key]))
+
+    def _rebuild_queue(self) -> None:
+        self._queue = []
+        for key in range(len(self._version)):
+            self._queue_key(key)
+
+    def _requeue_around(self, j: int) -> None:
+        """Re-queue what an event at boundary j can change: the arrivals
+        of robots j and j+1 and the contacts j-1..j+1 (indices mod n; the
+        seam has no contact)."""
+        n = self.n
+        self._queue_key(j)
+        self._queue_key((j + 1) % n)
+        for k in (j - 1, j, (j + 1) % n):
+            if 0 <= k < n - 1:
+                self._queue_key(n + k)
+        # live entries are at most one per key, so past twice the key
+        # count the stale ones are the majority
+        if len(self._queue) > 2 * len(self._version):
+            version = self._version
+            self._queue = [en for en in self._queue if en[2] == version[en[1]]]
+            heapq.heapify(self._queue)
 
     def next_candidate(self) -> _Candidate | None:
-        cands = []
-        for i in range(self.n):
-            c = self._arrival_candidate(i)
-            if c is not None:
-                cands.append(c)
-        for j in range(self.n - 1):
-            c = self._contact_candidate(j)
-            if c is not None:
-                cands.append(c)
-        if not cands:
-            return None
-        t_min = min(c.time for c in cands)
-        group = [c for c in cands if c.time <= t_min + TIME_EPS]
-        # simultaneous events resolve in ascending boundary order
-        return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
+        """The next event: of the candidates within TIME_EPS of the
+        earliest, the one at the lowest (boundary, robot), arrivals first.
 
-    def next_event_time(self) -> float | None:
-        c = self.next_candidate()
-        return None if c is None else max(c.time, self.t)
+        Live entries are popped in order of their time bounds and
+        recomputed exactly until the next bound exceeds the earliest
+        recomputed time plus TIME_EPS; the bounds are lower bounds, so
+        every candidate in that window is among them.  All popped entries
+        go back with bounds from their recomputed times.
+        """
+        queue, version = self._queue, self._version
+        popped = []
+        t_min = math.inf
+        while queue and queue[0][0] <= t_min + TIME_EPS:
+            _, key, ver = heapq.heappop(queue)
+            if ver == version[key]:
+                c = self._candidate(key)
+                popped.append((key, c))
+                if c.time < t_min:
+                    t_min = c.time
+        for key, c in popped:
+            heapq.heappush(queue, (self._lower_bound(c), key, version[key]))
+        group = [c for _, c in popped if c.time <= t_min + TIME_EPS]
+        # simultaneous events resolve in ascending boundary order
+        return min(group, key=lambda c: (c.boundary, c.robot, not c.pair), default=None)
 
     # -- event application ----------------------------------------------
 
@@ -294,7 +406,7 @@ class Simulation:
         if self.trace is None:
             self._update_convergence(t)
             return
-        e = self.e_values()
+        e = self._e
         states = [(a, self.p_pin[a], self.o[a], self.act[a])]
         if b is not None:
             states.append((b, self.p_pin[b], self.o[b], self.act[b]))
@@ -318,7 +430,7 @@ class Simulation:
         self._update_convergence(t)
 
     def _update_convergence(self, t: float) -> None:
-        if self._converged_at is None and self.max_deviation() < CONVERGENCE_RTOL:
+        if self._converged_at is None and self._off == 0:
             self._converged_at = t
             if self.trace is not None:
                 self.trace.converged_at = t
@@ -357,7 +469,7 @@ class Simulation:
                 self.left_value(left), self.right_value(right),
                 self.v[left], self.v[right], self.r[left], self.r[right],
             )
-            self.y[j] = y_new
+            self._set_y(j, y_new)
             updated = True
         y_val = self.L if j == self.n - 1 else self.y[j]
         # re-pin both to the (possibly moved) boundary's contact points
@@ -380,12 +492,12 @@ class Simulation:
         self._pin(b, contact + self.r[b], t_e)
         if self.o[a] == 1 and self.o[b] == -1:
             assert self.act[a] and self.act[b], "discovery requires both robots moving"
-            self.y[j] = contact
+            self._set_y(j, contact)
             self.o[a] = -1
             self.o[b] = 1
             self._record(t_e, "discovery", a, b, j, contact)
         elif self.o[a] == self.o[b]:
-            self.y[j] = contact
+            self._set_y(j, contact)
             if self.o[a] == 1:
                 catcher, caught = a, b
             else:
@@ -401,64 +513,54 @@ class Simulation:
 
     # -- running ---------------------------------------------------------
 
-    def step(self) -> TraceEvent | None:
-        """Advance to and apply the next event; None if a parameter change
-        was due first."""
+    def _advance(self, t_end: float | None = None) -> bool | None:
+        """Apply whichever comes first: the next due parameter change
+        (returns False) or the next event (returns True).  If it falls
+        after t_end, apply nothing, move the clock forward to t_end and
+        return None."""
         cand = self.next_candidate()
-        if self._pending_changes and (
+        change_due = bool(self._pending_changes) and (
             cand is None or self._pending_changes[0]["t"] <= max(cand.time, self.t)
-        ):
-            self._apply_due_change()
-            return None
-        if cand is None:
+        )
+        if change_due:
+            t_next = self._pending_changes[0]["t"]
+        elif cand is None:
             raise DeadlockError(
                 "no future event: all robots waiting (impossible under A2)"
             )
-        before = len(self.trace.events) if self.trace is not None else 0
+        else:
+            t_next = max(cand.time, self.t)
+        if t_end is not None and t_next > t_end:
+            self.t = max(self.t, t_end)
+            return None
+        if change_due:
+            self._apply_due_change()
+            return False
         if cand.pair:
             self._apply_contact(cand)
         else:
             self._apply_arrival(cand)
-        if self.trace is not None:
-            return self.trace.events[-1] if len(self.trace.events) > before else None
+        self._requeue_around(cand.boundary)
+        return True
+
+    def step(self) -> TraceEvent | None:
+        """Advance to and apply the next event; None if a parameter change
+        was due first, or if no trace is recorded."""
+        if self._advance() and self.trace is not None:
+            return self.trace.events[-1]
         return None
 
     def run_until(self, t_end: float | None = None, max_events: int | None = None) -> Trace:
+        """Apply events until the next one falls after t_end (the clock
+        then stops at t_end) or max_events events are done; parameter
+        changes due on the way are applied and not counted."""
         processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
+        while max_events is None or processed < max_events:
+            applied = self._advance(t_end)
+            if applied is None:
                 break
-            cand = self.next_candidate()
-            if self._pending_changes and (
-                cand is None or self._pending_changes[0]["t"] <= max(cand.time, self.t)
-            ):
-                if t_end is not None and self._pending_changes[0]["t"] > t_end:
-                    self.t = t_end
-                    break
-                self._apply_due_change()
-                continue
-            if cand is None:
-                raise DeadlockError(
-                    "no future event: all robots waiting (impossible under A2)"
-                )
-            t_next = max(cand.time, self.t)
-            if t_end is not None and t_next > t_end:
-                self.t = t_end
-                break
-            if cand.pair:
-                self._apply_contact(cand)
-            else:
-                self._apply_arrival(cand)
-            processed += 1
+            processed += applied
         return self.trace
-
-    def run_until_converged(self, rtol: float = CONVERGENCE_RTOL,
-                            max_events: int = 2_000_000) -> Trace:
-        for _ in range(max_events):
-            if self.max_deviation() < rtol:
-                return self.trace
-            self.step()
-        raise RuntimeError(f"not converged to rtol={rtol} after {max_events} events")
 
     # -- parameter changes -------------------------------------------------
 
@@ -515,6 +617,8 @@ class Simulation:
                 self._pin(idx, val + new_r, t_change)
         self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
         self._converged_at = None
+        self._recompute_e()
+        self._rebuild_queue()
         if self.trace is not None:
             self.trace.converged_at = None
             self.trace.t_star = self.t_star

@@ -13,6 +13,7 @@ sums of the d_i (y_n = L).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 REL_TOL = 1e-9  # relative tolerance for closed-form identity checks
@@ -29,10 +30,11 @@ class RobotParams:
     r: float  # communication radius, m
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"robot {self.id}: speed must be positive, got {self.v}")
-        if self.r < 0:
-            raise ValueError(f"robot {self.id}: radius must be non-negative, got {self.r}")
+        if not (math.isfinite(self.v) and self.v > 0):
+            raise ValueError(f"robot {self.id}: speed v must be finite and positive, got {self.v}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(
+                f"robot {self.id}: radius r must be finite and non-negative, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class FleetConfig:
         object.__setattr__(self, "robots", tuple(self.robots))
         if len(self.robots) < 2:
             raise ValueError("a fleet needs at least 2 robots")
-        if self.L <= 0:
-            raise ValueError("cycle length must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"cycle length L must be finite and positive, got {self.L}")
         if self.free_length <= 0:
             raise StaticallyCoverableError(
                 f"L - 2*sum(r) = {self.free_length} <= 0: cycle is statically coverable"
@@ -129,13 +131,34 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
         else:
             have_state = False
     cfg = FleetConfig(robots=tuple(robots), L=float(doc["L"]))
-    changes = [dict(ev) for ev in doc.get("events", [])]
+    changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(doc.get("events", []))]
     return FleetScenario(
         config=cfg,
         positions=positions if have_state else None,
         orientations=orientations if have_state else None,
         changes=changes,
     )
+
+
+def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
+    """One scheduled parameter change: a known robot id, a finite time
+    t >= 0, and new values v and r that pass the robot checks."""
+    for name in ("t", "robot"):
+        if name not in ev:
+            raise ValueError(f"events[{k}]: missing field '{name}'")
+    robot = next((rb for rb in cfg.robots if rb.id == ev["robot"]), None)
+    if robot is None:
+        raise ValueError(f"events[{k}]: robot {ev['robot']!r} is not in the fleet")
+    t = float(ev["t"])
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"events[{k}]: time t must be finite and non-negative, got {t}")
+    v, r = ev.get("v"), ev.get("r")
+    try:
+        RobotParams(id=robot.id, v=robot.v if v is None else float(v),
+                    r=robot.r if r is None else float(r))
+    except ValueError as exc:
+        raise ValueError(f"events[{k}]: {exc}") from None
+    return {**ev, "t": t}
 
 
 def load_fleet_json(path) -> FleetScenario:

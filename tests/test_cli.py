@@ -74,6 +74,40 @@ class TestSimulate:
         assert rc == 2
         assert "A2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, field, value", [
+        ("robot", "r", float("nan")),
+        ("robot", "v", float("inf")),
+        ("fleet", "L", float("inf")),
+        ("fleet", "L", float("nan")),
+    ])
+    def test_non_finite_parameter_exits_2(self, fig3_fleet_file, tmp_path, capsys,
+                                          where, field, value):
+        doc = json.loads(fig3_fleet_file.read_text())
+        (doc["robots"][1] if where == "robot" else doc)[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        rc = cli.main(["simulate", str(p), "-o", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("event, message", [
+        ({"t": 100.0, "v": 0.5}, "missing field 'robot'"),
+        ({"robot": 2, "v": 0.5}, "missing field 't'"),
+        ({"t": 100.0, "robot": 9, "v": 0.5}, "robot 9 is not in the fleet"),
+        ({"t": 100.0, "robot": 2, "v": -1.0}, "speed v must be finite and positive"),
+    ])
+    def test_bad_scheduled_change_exits_2(self, fig3_fleet_file, tmp_path, capsys,
+                                          event, message):
+        doc = json.loads(fig3_fleet_file.read_text())
+        doc["events"] = [event]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "events[0]" in err and message in err
+
     def test_seeded_runs_byte_identical(self, fig3_fleet_file, tmp_path):
         blobs = []
         for k in range(2):

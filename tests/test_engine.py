@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cyclepatrol.engine import (
+    CONVERGENCE_RTOL,
+    TIME_EPS,
     AssumptionError,
     Simulation,
     boundary_consensus_update,
@@ -333,3 +337,132 @@ def test_deadlock_unreachable_on_random_instances(rng):
         sim = Simulation(cfg, pos, ori)
         sim.run_until(max_events=3000)  # DeadlockError would propagate
         assert len(sim.trace.events) == 3000
+
+
+# -- the kinetic queue against a full scan ---------------------------------
+
+def scan_next_candidate(sim):
+    """Reference scheduler: every arrival and contact candidate recomputed
+    at sim.t; of those within TIME_EPS of the earliest, the lowest
+    (boundary, robot), arrivals first."""
+    cands = [sim._arrival_candidate(i) for i in range(sim.n)]
+    cands += [sim._contact_candidate(j) for j in range(sim.n - 1)]
+    cands = [c for c in cands if c is not None]
+    if not cands:
+        return None
+    t_min = min(c.time for c in cands)
+    group = [c for c in cands if c.time <= t_min + TIME_EPS]
+    return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
+
+
+def scratch_e(sim):
+    out = []
+    for i in range(sim.n):
+        lo = 0.0 if i == 0 else sim.y[i - 1]
+        hi = sim.y[i]
+        out.append(math.nan if lo is None or hi is None
+                   else (hi - lo - 2.0 * sim.r[i]) / sim.v[i])
+    return out
+
+
+def scratch_max_deviation(sim):
+    if any(y is None for y in sim.y):
+        return math.inf
+    return max(abs(e - sim.t_star) for e in scratch_e(sim)) / sim.t_star
+
+
+@st.composite
+def random_runs(draw):
+    n = draw(st.integers(2, 10))
+    speeds = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    if draw(st.booleans()):  # identical robots: exact ties between events
+        speeds, radii = [speeds[0]] * n, [radii[0]] * n
+    cfg = make_fleet(speeds, radii, 2.0 * sum(radii) + draw(st.floats(10.0, 1000.0)))
+    n_minus = draw(st.integers(1, n - 1))
+    pos, ori = random_initial_state(cfg, random.Random(draw(st.integers(0, 2**32 - 1))),
+                                    n_minus=n_minus)
+    robot = st.integers(0, n - 1)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("steps"), st.integers(1, 60)),
+        st.tuples(st.just("run_until"), st.floats(0.0, 0.5)),
+        st.tuples(st.just("schedule_v"), st.floats(0.0, 1.0), robot, st.floats(0.3, 3.0)),
+        st.tuples(st.just("schedule_noop"), st.floats(0.0, 1.0), robot),
+        st.tuples(st.just("shrink_r"), robot, st.floats(0.2, 1.0)),
+    ), min_size=1, max_size=30))
+    return cfg, pos, ori, ops
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_runs())
+def test_queue_and_incremental_state_match_scratch(run):
+    """At every step, through parameter changes and stops mid-gap, the
+    queue picks what the full scan picks, and e, max_deviation and
+    converged_at equal a from-scratch recomputation."""
+    cfg, pos, ori, ops = run
+    sim = Simulation(cfg, pos, ori)
+    expected_converged = None
+
+    def advance(call):
+        nonlocal expected_converged
+        params, events = (list(sim.v), list(sim.r)), len(sim.trace.events)
+        call()
+        if (sim.v, sim.r) != params:
+            expected_converged = None
+        if (len(sim.trace.events) > events and expected_converged is None
+                and scratch_max_deviation(sim) < CONVERGENCE_RTOL):
+            expected_converged = sim.trace.events[-1].time
+        assert sim.e_values() == pytest.approx(scratch_e(sim), rel=0, abs=0, nan_ok=True)
+        assert sim.max_deviation() == scratch_max_deviation(sim)
+        assert sim.converged_at == expected_converged
+        assert sim.next_candidate() == scan_next_candidate(sim)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "steps":
+            for _ in range(op[1]):
+                advance(sim.step)
+        elif kind == "run_until":
+            advance(lambda: sim.run_until(t_end=sim.t + op[1] * sim.t_star, max_events=1))
+        elif kind == "schedule_v":
+            _, dt, i, factor = op
+            sim.schedule_parameter_change(sim.t + dt * sim.t_star, i + 1, v=sim.v[i] * factor)
+        elif kind == "schedule_noop":
+            sim.schedule_parameter_change(sim.t + op[1] * sim.t_star, op[2] + 1)
+        else:
+            _, i, factor = op
+            advance(lambda: sim.apply_parameter_change(i + 1, r=sim.r[i] * factor))
+
+
+def test_near_simultaneous_events_resolve_by_boundary():
+    """Two discoveries 5e-10 s apart: within TIME_EPS, so the one at the
+    lower boundary goes first although it is the later one."""
+    sim = Simulation(make_fleet([1.0] * 4, [0.0] * 4, 100.0),
+                     [10.0, 12.000000001, 50.0, 52.0], [1, -1, 1, -1])
+    first = sim.step()
+    assert (first.kind, first.boundary) == ("discovery", 0)
+    assert first.time == pytest.approx(1.0 + 5e-10, abs=1e-13)
+    second = sim.step()
+    assert (second.kind, second.boundary) == ("discovery", 2)
+    assert second.time == first.time  # the clock never runs backwards
+
+
+def test_speed_up_reschedules_the_arrival(fig3_fleet):
+    rng = random.Random(6)
+    pos, ori = random_initial_state(fig3_fleet, rng)
+    sim = Simulation(fig3_fleet, pos, ori)
+    sim.run_until(max_events=40)
+    sim.apply_parameter_change(robot_id=2, v=5.0)
+    for _ in range(40):
+        assert sim.next_candidate() == scan_next_candidate(sim)
+        sim.step()
+
+
+def test_run_until_never_moves_the_clock_back(fig3_fleet):
+    rng = random.Random(4)
+    pos, ori = random_initial_state(fig3_fleet, rng)
+    sim = Simulation(fig3_fleet, pos, ori)
+    sim.run_until(t_end=5000.0)
+    assert sim.t == 5000.0
+    sim.run_until(t_end=1000.0)
+    assert sim.t == 5000.0
