@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import metrics, scenario, verify
 from .engine import AssumptionError, Simulation, random_initial_state
-from .fleet import StaticallyCoverableError, compute_goal_partition, load_fleet_json
+from .fleet import StaticallyCoverableError, load_fleet_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,13 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("CYCLE_PATROL_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def cmd_tour(args) -> int:
@@ -91,8 +82,7 @@ def cmd_simulate(args) -> int:
     report = metrics.theorem_verdicts(sim.trace)
     report.write_json(outdir / "report.json")
     metrics.write_plot_data(sim.trace, outdir / "plot_data.csv")
-    goal = compute_goal_partition(cfg)
-    print(f"t_star = {goal.t_star:.9f} s, t_rev predicted = "
+    print(f"t_star = {report.t_star:.9f} s, t_rev predicted = "
           f"{report.t_rev_predicted:.9f} s, n_bal = {report.n_bal}")
     for v in report.verdicts:
         print(f"  {v.name}: {v.status}"
@@ -111,17 +101,12 @@ def cmd_verify(args) -> int:
         "conservation": {"total_events": args.conservation_events},
     }
     ok = True
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futures = {
-            name: pool.submit(verify.ALL_SUITES[name],
-                              **{k: v for k, v in overrides[name].items() if v})
-            for name in names
-        }
-        for name in names:
-            result = futures[name].result()
-            for line in result.summary_lines():
-                print(line)
-            ok = ok and result.ok
+    for name in names:
+        result = verify.ALL_SUITES[name](
+            **{k: v for k, v in overrides[name].items() if v})
+        for line in result.summary_lines():
+            print(line)
+        ok = ok and result.ok
     return EXIT_OK if ok else EXIT_SUITE
 
 
@@ -141,23 +126,17 @@ def cmd_sweep(args) -> int:
         print("error: pass exactly one of --vary-n or --factor", file=sys.stderr)
         return EXIT_USAGE
     measure = not args.closed_form_only
-    workers = _worker_count()
     if args.vary_n is not None:
         values = [int(x) for x in _parse_range(args.vary_n, integral=True)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda n: verify.sweep_fleet_size([n], v=args.v, r=args.r, L=args.L,
-                                                  seed=args.seed, measure=measure)[0],
-                values))
+        rows = [verify.sweep_fleet_size([n], v=args.v, r=args.r, L=args.L,
+                                        seed=args.seed, measure=measure)[0]
+                for n in values]
         label = "n"
     else:
         values = _parse_range(args.factor, integral=False)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda f: verify.sweep_capability_factor([f], v=args.v, r=args.r,
-                                                         L=args.L, seed=args.seed,
-                                                         measure=measure)[0],
-                values))
+        rows = [verify.sweep_capability_factor([f], v=args.v, r=args.r, L=args.L,
+                                               seed=args.seed, measure=measure)[0]
+                for f in values]
         label = "factor"
     with open(args.output, "w", newline="") as fh:
         fh.write(f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n")

@@ -21,7 +21,6 @@ class LinkMatrices:
     eps: float
     P: np.ndarray
     Ptilde: np.ndarray
-    Lap: np.ndarray
     Laptilde: np.ndarray
 
 
@@ -29,7 +28,6 @@ class LinkMatrices:
 class ConsensusMatrices:
     n: int
     speeds: tuple[float, ...]
-    V: np.ndarray
     links: tuple[LinkMatrices, ...]
 
 
@@ -40,7 +38,6 @@ def build_matrices(speeds) -> ConsensusMatrices:
     if np.any(v <= 0):
         raise ValueError("speeds must be positive")
     n = len(v)
-    V = np.diag(v)
     inv_sqrt = np.diag(1.0 / np.sqrt(v))
     links = []
     for i in range(n - 1):
@@ -52,8 +49,8 @@ def build_matrices(speeds) -> ConsensusMatrices:
         Laptilde = inv_sqrt @ (eps * Lap) @ inv_sqrt
         Ptilde = np.eye(n) - Laptilde
         links.append(LinkMatrices(link=i, eps=eps, P=P, Ptilde=Ptilde,
-                                  Lap=Lap, Laptilde=Laptilde))
-    return ConsensusMatrices(n=n, speeds=tuple(v), V=V, links=tuple(links))
+                                  Laptilde=Laptilde))
+    return ConsensusMatrices(n=n, speeds=tuple(v), links=tuple(links))
 
 
 @dataclass

@@ -60,7 +60,7 @@ from .fleet import FleetConfig, GoalPartition, RobotParams, StaticallyCoverableE
 NAN = float("nan")
 
 TIME_EPS = 1e-9  # events closer than this are simultaneous
-CONVERGENCE_RTOL = 1e-3  # tooling threshold recorded in trace metadata
+CONVERGENCE_RTOL = 1e-3  # tooling threshold for Trace.converged_at
 # A queue entry is ordered by its candidate time minus
 # BOUND_MARGIN * (L / rate + |time|), where rate is the speed that divides
 # the distance.  The same candidate computed at two clock values differs
@@ -112,7 +112,6 @@ class Trace:
     initial_orientations: tuple[int, ...]
     events: list[TraceEvent] = field(default_factory=list)
     converged_at: float | None = None
-    convergence_rtol: float = CONVERGENCE_RTOL
     parameter_changes: list[dict] = field(default_factory=list)
 
     @property

@@ -7,8 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .engine import Trace
-from .fleet import compute_t_star
+from .engine import Trace, _fmt
 
 PASS_REL_TOL = 0.01  # absorbs the asymptotic-convergence residual
 
@@ -96,9 +95,10 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
     """PASS/FAIL verdicts against the convergence and revisit-time claims.
 
     Verdicts come from the post-convergence tail only; a trace that never
-    converged is INCONCLUSIVE, not FAIL.
+    converged is INCONCLUSIVE, not FAIL.  The target is the t_star in
+    force at the end of the trace, after any mid-run parameter change.
     """
-    t_star = compute_t_star(trace.fleet)
+    t_star = trace.t_star
     n = trace.n
     n_bal = n_bal_of(trace)
     balanced = (2 * n_bal == n)
@@ -186,10 +186,6 @@ def write_plot_data(trace: Trace, path) -> None:
         fh.write("time,robot,e_i,f_i,windowed_f_i\n")
         for row in plot_data_rows(trace):
             fh.write(row + "\n")
-
-
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else f"{x:.9f}"
 
 
 def point_passes(trace: Trace, point: float) -> list[tuple[float, int, int]]:

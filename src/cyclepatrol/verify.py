@@ -140,9 +140,17 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
 
 # -- word-calculus suite ---------------------------------------------------
 
-def _word_checks(w: words.Word, res_counters: dict) -> None:
+def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word]) -> None:
     """Evolve one word to its interlaced configuration, checking every
-    lemma-level property along the way."""
+    lemma-level property along the way.
+
+    The closing absorbing-regime probe runs only for an unbalanced final
+    word not yet in ``probed``, and adds it there once it passes.  This is
+    exact: the probe reads nothing but the final word (its majority letter
+    and length are those of ``w``, which stepping preserves), so a repeat
+    would repeat the outcome, and a failing probe stops the suite at the
+    first start word that reaches it.
+    """
     n = w.n
     ev = words.TrackedEvolution(w)
     rounds_taken = 0
@@ -224,10 +232,10 @@ def _word_checks(w: words.Word, res_counters: dict) -> None:
 
     final = ev.word
     if final.n == 2 * final.n_bal:
-        dec = words.decompose(final)
+        dec = ev.decomposition
         if len(dec.sequences) != 1 or dec.sequences[0][1] != n:
             raise words.CalculusViolation(f"{w}: balanced endgame not a single cycle")
-    else:
+    elif final not in probed:
         # unbalanced absorbing behavior: every sequence slides through the
         # majority letters forever (Move+ for a '+' majority, mirrored else)
         absorbing = words.Rule.MOVE_PLUS if plus_majority else words.Rule.MOVE_MINUS
@@ -238,11 +246,18 @@ def _word_checks(w: words.Word, res_counters: dict) -> None:
                 raise words.CalculusViolation(
                     f"{w}: interlaced word not in {absorbing} regime"
                 )
+        probed.add(final)
 
 
 def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
+    """Run `_word_checks` on every word of 2..max_n letters with n_bal > 0.
+
+    The absorbing-regime probe runs once per distinct unbalanced
+    interlaced word: the set of probed words lives for one call only.
+    """
     res = SuiteResult("words-exhaustive")
     counters = {"words": 0, "max_rounds": 0}
+    probed: set[words.Word] = set()
     violation = None
     for n in range(2, max_n + 1):
         for bits in itertools.product((1, -1), repeat=n):
@@ -250,7 +265,7 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
             if w.n_bal == 0:
                 continue
             try:
-                _word_checks(w, counters)
+                _word_checks(w, counters, probed)
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break
@@ -442,16 +457,6 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
             "; ".join(violations) or
             f"{events_done} events over {runs} runs, worst pair gap {worst_pair:.2g}")
     return res
-
-
-def pairwise_equalization_check(sim_events, rtol: float = 1e-9) -> tuple[bool, float]:
-    """Post-meeting traversing times of the pair must match exactly."""
-    worst = 0.0
-    for ev in sim_events:
-        if ev.kind == "meeting" and ev.updated:
-            scale = max(abs(ev.e_a), abs(ev.e_b), 1.0)
-            worst = max(worst, abs(ev.e_a - ev.e_b) / scale)
-    return worst <= rtol, worst
 
 
 # -- sweeps -------------------------------------------------------------------

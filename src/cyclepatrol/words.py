@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 PLUS = 1
 MINUS = -1
@@ -45,7 +46,7 @@ class Word:
     def n(self) -> int:
         return len(self.letters)
 
-    @property
+    @cached_property
     def n_plus(self) -> int:
         return sum(1 for x in self.letters if x == PLUS)
 
@@ -196,20 +197,30 @@ def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
     """
     if step_word(w) != w_next:
         raise ValueError("w_next is not step_word(w)")
+    return _label_transition(w, w_next, decompose(w), decompose(w_next))[0]
+
+
+def _label_transition(
+    w: Word, w_next: Word, dec: SequenceDecomposition, dec_next: SequenceDecomposition
+) -> tuple[list[TransitionLabel], list[list[int]]]:
+    """`classify_transition` on given decompositions of w and w_next.
+
+    Also returns, for each sequence of w_next in order, the indices of the
+    sequences of w whose successors tile it.
+    """
     n = w.n
-    dec = decompose(w)
     base: list[tuple[tuple[int, int], Rule, tuple[int, int] | None]] = []
     for start, length in dec.sequences:
         rule, succ = _base_rule(w, start, length)
         base.append(((start, length), rule, succ))
 
     succ_sets = [span_positions(*s[2], n) if s[2] else frozenset() for s in base]
-    dec_next = decompose(w_next)
     next_sets = [span_positions(st, ln, n) for st, ln in dec_next.sequences]
 
     # group predecessors onto the canonical spans of the next word
     merged = [False] * len(base)
     claimed = [False] * len(base)
+    preds_by_target = []
     for target in next_sets:
         preds = [k for k, ss in enumerate(succ_sets) if ss and ss & target]
         if not preds:
@@ -227,6 +238,7 @@ def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
             claimed[k] = True
             if len(preds) > 1:
                 merged[k] = True
+        preds_by_target.append(preds)
     for k, ss in enumerate(succ_sets):
         if ss and not claimed[k]:
             raise CalculusViolation(
@@ -239,7 +251,7 @@ def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
         labels.append(
             TransitionLabel(start=start, length=length, rule=final, base_rule=rule, successor=succ)
         )
-    return labels
+    return labels, preds_by_target
 
 
 class TrackedEvolution:
@@ -247,50 +259,47 @@ class TrackedEvolution:
 
     Merged groups keep the lowest member id; disappeared ids report a
     final length of 0.  Used for rule-by-rule lemma checks and for the
-    length-history output.
+    length-history output.  Each round steps and decomposes the word
+    once: the current word's decomposition carries over from the round
+    that produced it.
     """
 
     def __init__(self, w: Word):
         self.word = w
         self.round = 0
-        dec = decompose(w)
-        self.ids: dict[int, tuple[int, int]] = {k: span for k, span in enumerate(dec.sequences)}
+        self.decomposition = decompose(w)
+        # ids are listed in the order of self.decomposition.sequences
+        self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.decomposition.sequences))
         self.history: list[dict[int, int]] = [{k: span[1] for k, span in self.ids.items()}]
         self.rules: list[dict[int, Rule]] = []
         self.merge_groups: list[list[set[int]]] = []
 
     def step(self) -> Word:
-        w = self.word
-        w2 = step_word(w)
-        labels = classify_transition(w, w2)
-        n = w.n
-        span_to_id = {span: k for k, span in self.ids.items()}
-        succ_by_id: dict[int, frozenset[int]] = {}
-        rules_by_id: dict[int, Rule] = {}
-        for lab in labels:
-            k = span_to_id[(lab.start, lab.length)]
-            rules_by_id[k] = lab.rule
-            succ_by_id[k] = span_positions(*lab.successor, n) if lab.successor else frozenset()
+        w2 = step_word(self.word)
+        dec2 = decompose(w2)
+        labels, preds_by_target = _label_transition(self.word, w2, self.decomposition, dec2)
+        sids = list(self.ids)
+        rules_by_id = {sid: lab.rule for sid, lab in zip(sids, labels)}
 
         new_ids: dict[int, tuple[int, int]] = {}
         lengths: dict[int, int] = {}
         groups: list[set[int]] = []
-        for span in decompose(w2).sequences:
-            target = span_positions(*span, n)
-            preds = [k for k, ss in succ_by_id.items() if ss and ss & target]
-            survivor = min(preds)
+        for span, preds in zip(dec2.sequences, preds_by_target):
+            members = [sids[k] for k in preds]
+            survivor = min(members)
             new_ids[survivor] = span
             lengths[survivor] = span[1]
-            if len(preds) > 1:
-                groups.append(set(preds))
-            for k in preds:
+            if len(members) > 1:
+                groups.append(set(members))
+            for k in members:
                 if k != survivor:
                     lengths[k] = 0
-        for k, ss in succ_by_id.items():
-            if not ss:
-                lengths[k] = 0
+        for sid, lab in zip(sids, labels):
+            if lab.successor is None:
+                lengths[sid] = 0
 
         self.word = w2
+        self.decomposition = dec2
         self.round += 1
         self.ids = new_ids
         self.history.append(lengths)

@@ -13,7 +13,9 @@ import random
 
 import pytest
 
-from cyclepatrol import cli
+from cyclepatrol import cli, metrics
+from cyclepatrol.engine import Simulation, random_initial_state
+from cyclepatrol.fleet import compute_t_star, load_fleet_json
 
 EIGHT_ROBOT_FLEET = {"L": 1000.0, "robots": [
     {"id": i + 1, "v": v, "r": r} for i, (v, r) in enumerate(zip(
@@ -68,7 +70,7 @@ GOLDEN = {
     },
     "n8-two-changes": {
         "trace.csv": "cea5b3320d2657b476d8afa4d710e87dadd46b3b02232fc9061aea2613c1ccb2",
-        "report.json": "e95e503333c9514d87f6a2b1175381ee3d371cf71fc8fd982b6934cbf5862df6",
+        "report.json": "85a8711da77efd86153da1bbbaa212626c61c5644cd82f8b8b861bf7db83b14a",
         "plot_data.csv": "4b5f2afde12ffa3c06d55029da3120ed3a1dd54349a54bb2d5ee5ab8abfb20b0",
     },
 }
@@ -87,3 +89,26 @@ def simulate_digests(name: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_outputs_match_golden_digests(name, tmp_path, capsys):
     assert simulate_digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_two_changes_judged_against_final_t_star(tmp_path, capsys):
+    # after the changes the fleet converges to a new t_star; the verdicts
+    # and the printed t_star must use it, not the initial fleet's
+    doc, flags = CASES["n8-two-changes"]
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text(json.dumps(doc))
+    spec = load_fleet_json(fleet)
+    positions, orientations = random_initial_state(spec.config, random.Random(4))
+    sim = Simulation(spec.config, positions, orientations)
+    for ch in spec.changes:
+        sim.schedule_parameter_change(ch["t"], ch["robot"], v=ch.get("v"), r=ch.get("r"))
+    sim.run_until(t_end=40000.0)
+    report = metrics.theorem_verdicts(sim.trace)
+    assert sim.trace.t_star != pytest.approx(compute_t_star(spec.config), rel=1e-3)
+    assert report.t_star == sim.trace.t_star
+    assert report.all_pass
+
+    out = tmp_path / "run"
+    assert cli.main(["simulate", str(fleet), *flags, "-o", str(out)]) == 0
+    assert f"t_star = {sim.trace.t_star:.9f} s" in capsys.readouterr().out
+    assert json.loads((out / "report.json").read_text())["all_pass"]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepatrol import words
+from cyclepatrol import verify, words
 from cyclepatrol.words import (
     CalculusViolation,
     Rule,
+    TrackedEvolution,
     Word,
     classify_transition,
     decompose,
@@ -214,3 +215,73 @@ class TestEvolve:
                     cur = len(decompose(w).sequences)
                     assert cur <= prev
                     prev = cur
+
+
+def _nonuniform_words(max_n):
+    for n in range(2, max_n + 1):
+        for bits in itertools.product((1, -1), repeat=n):
+            w = Word(bits)
+            if w.n_bal > 0:
+                yield w
+
+
+class TestTrackedEvolution:
+    def test_rules_match_public_classify(self):
+        # the carried decomposition must label every round exactly as the
+        # public path that decomposes both words from scratch
+        for w in _nonuniform_words(9):
+            ev = TrackedEvolution(w)
+            while not is_interlaced(ev.word)[0]:
+                spans = dict(ev.ids)
+                expected = {(l.start, l.length): l.rule
+                            for l in classify_transition(ev.word, step_word(ev.word))}
+                ev.step()
+                got = {spans[sid]: rule for sid, rule in ev.rules[-1].items()}
+                assert got == expected, f"{w} round {ev.round}"
+                assert ev.decomposition == decompose(ev.word)
+
+
+class TestExhaustiveSuite:
+    TARGET = W("++-+-")  # unbalanced and interlaced; "+++--" also ends there
+
+    def _first_start_reaching(self, target, max_n):
+        for w in _nonuniform_words(max_n):
+            final = w
+            while not is_interlaced(final)[0]:
+                final = step_word(final)
+            if final == target:
+                return w
+        raise AssertionError(f"no start word reaches {target}")
+
+    def _probe_patch(self, monkeypatch, break_it):
+        # Only the absorbing-regime probe steps from an interlaced word, so
+        # round-0 steps from TARGET are exactly the probes of TARGET.
+        original = TrackedEvolution.step
+        probes = []
+
+        def step(ev):
+            probing = ev.round == 0 and ev.word == self.TARGET
+            w2 = original(ev)
+            if probing:
+                probes.append(w2)
+                if break_it:
+                    ev.rules[-1] = {sid: Rule.EXPAND for sid in ev.rules[-1]}
+            return w2
+
+        monkeypatch.setattr(TrackedEvolution, "step", step)
+        return probes
+
+    def test_probe_runs_once_per_interlaced_word(self, monkeypatch):
+        probes = self._probe_patch(monkeypatch, break_it=False)
+        assert self._first_start_reaching(self.TARGET, 7) != self.TARGET
+        res = verify.words_exhaustive_suite(max_n=7)
+        assert res.ok
+        assert len(probes) == 1
+
+    def test_failing_probe_names_first_start_word(self, monkeypatch):
+        self._probe_patch(monkeypatch, break_it=True)
+        first = self._first_start_reaching(self.TARGET, 7)
+        res = verify.words_exhaustive_suite(max_n=7)
+        assert not res.ok
+        [(name, ok, detail)] = res.checks
+        assert detail == f"{first}: interlaced word not in {Rule.MOVE_PLUS} regime"
