@@ -10,6 +10,7 @@ of the simulator, so engine traces can be replayed against it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,24 +141,21 @@ def replay_trace(trace, rtol: float = 1e-9):
 
     Starting from the first event at which every boundary is defined, each
     boundary-updating meeting applies its link matrix; the resulting
-    vector must match the engine's traversing-time snapshot entrywise.
-    Returns (ok, max_err, updates_checked).
+    vector must match the engine's traversing times (from the trace's
+    replay cursor) entrywise.  Returns (ok, max_err, updates_checked).
     """
-    first = None
-    for k, ev in enumerate(trace.events):
-        if not any(np.isnan(ev.e_snapshot)):
-            first = k
-            break
-    if first is None:
-        raise ValueError("trace never defines all boundaries")
     m = build_matrices([rb.v for rb in trace.fleet.robots])
-    e = np.asarray(trace.events[first].e_snapshot, dtype=float)
+    e = None
     max_err = 0.0
     checked = 0
-    for ev in trace.events[first + 1:]:
-        if ev.kind == "meeting" and ev.updated:
+    for ev, _, e_engine in trace.replay():
+        if e is None:
+            if not any(map(math.isnan, e_engine)):
+                e = np.array(e_engine)
+        elif ev.kind == "meeting" and ev.updated:
             e = m.links[ev.boundary].P @ e
-            err = float(np.max(np.abs(e - np.asarray(ev.e_snapshot))))
-            max_err = max(max_err, err)
+            max_err = max(max_err, float(np.max(np.abs(e - e_engine))))
             checked += 1
+    if e is None:
+        raise ValueError("trace never defines all boundaries")
     return max_err <= rtol, max_err, checked

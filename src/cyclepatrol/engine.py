@@ -43,8 +43,14 @@ candidates.
 
 The traversing times e, the NaN-for-unknown boundary vector and the count
 of robots outside CONVERGENCE_RTOL are kept incrementally: writing y[j]
-updates only e_j and e_{j+1}.  A trace event therefore costs two tuple
-copies, and the convergence test is a comparison of that count with 0.
+updates only e_j and e_{j+1}, and the convergence test is a comparison of
+that count with 0.
+
+The trace is a delta log: each event records only what it changed (the
+boundary value, the participants' traversing times and kinematic states),
+so its size does not grow with n.  ``Trace.replay()`` rebuilds the full y
+and e vectors after each event from those records and the logged
+parameter changes.
 """
 
 from __future__ import annotations
@@ -87,25 +93,36 @@ def boundary_consensus_update(y_prev: float, y_next: float,
     )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """What one event changed; full state comes from ``Trace.replay()``.
+
+    A discovery, a catch and an updating meeting set y[boundary] to
+    y_value; an arrival and a seam or non-updating meeting leave y as it
+    was (y_value then repeats the boundary's value).
+    """
+
     time: float
     kind: str  # discovery | catch | arrival | meeting
     robot_a: int  # 0-based index of first participant (left robot for pair events)
     robot_b: int | None
     boundary: int  # 0-based boundary index; n-1 is the seam
     y_value: float
-    e_a: float
+    e_a: float  # post-event traversing times of the participants
     e_b: float
     updated: bool
-    y_snapshot: tuple[float, ...]
-    e_snapshot: tuple[float, ...]
     # post-event kinematic state of the participants: (robot, p, o, a)
     states: tuple[tuple[int, float, int, int], ...]
 
 
 @dataclass
 class Trace:
+    """Event log of one run.
+
+    ``parameter_changes`` holds one dict per applied change (no-ops
+    included) with its time, robot id, new v and r, and ``events``, the
+    number of trace events recorded before it.
+    """
+
     fleet: FleetConfig
     t_star: float
     initial_positions: tuple[float, ...]
@@ -117,6 +134,46 @@ class Trace:
     @property
     def n(self) -> int:
         return self.fleet.n
+
+    def replay(self, until: float | None = None):
+        """Yield ``(ev, y, e)`` after each event, stopping before the first
+        event later than ``until``.
+
+        y is the boundary vector (nan while unknown, y[n-1] = L) and e the
+        traversing times, bit-identical to what the engine held after that
+        event.  The parameter changes logged before an event are applied
+        ahead of it, with all of e recomputed, as the engine does.  Both
+        lists are updated in place as the cursor moves: copy what you keep.
+        """
+        n = self.n
+        v = [rb.v for rb in self.fleet.robots]
+        r = [rb.r for rb in self.fleet.robots]
+        index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
+        y = [NAN] * (n - 1) + [self.fleet.L]
+
+        def traversing(i: int) -> float:
+            # the engine's formula; nan propagates from an unknown boundary
+            return (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i]
+
+        e = [traversing(i) for i in range(n)]
+        changes = self.parameter_changes
+        c = 0
+        for k, ev in enumerate(self.events):
+            if until is not None and ev.time > until:
+                return
+            applied = c
+            while c < len(changes) and changes[c]["events"] <= k:
+                i = index[changes[c]["robot_id"]]
+                v[i], r[i] = changes[c]["v"], changes[c]["r"]
+                c += 1
+            if c > applied:
+                e[:] = [traversing(i) for i in range(n)]
+            if ev.kind in ("discovery", "catch") or ev.updated:
+                j = ev.boundary
+                y[j] = ev.y_value
+                e[j] = traversing(j)
+                e[j + 1] = traversing(j + 1)
+            yield ev, y, e
 
     def meetings(self) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.kind == "meeting"]
@@ -258,9 +315,6 @@ class Simulation:
         """Traversing times per robot (a fresh list); nan while a boundary
         is undefined."""
         return list(self._e)
-
-    def y_snapshot(self) -> tuple[float, ...]:
-        return tuple(self._y_nan)
 
     def max_deviation(self) -> float:
         """max_i |e_i - t_star| / t_star, or inf while boundaries are missing."""
@@ -405,27 +459,15 @@ class Simulation:
         if self.trace is None:
             self._update_convergence(t)
             return
-        e = self._e
-        states = [(a, self.p_pin[a], self.o[a], self.act[a])]
-        if b is not None:
-            states.append((b, self.p_pin[b], self.o[b], self.act[b]))
-        ev = TraceEvent(
-            time=t,
-            kind=kind,
-            robot_a=a,
-            robot_b=b,
-            boundary=boundary,
-            y_value=y_value,
-            e_a=e[a],
-            e_b=e[b] if b is not None else NAN,
-            updated=updated,
-            y_snapshot=self.y_snapshot(),
-            e_snapshot=tuple(e),
-            states=tuple(states),
-        )
-        if self.trace.events and ev.time < self.trace.events[-1].time:
+        e, p, o, act = self._e, self.p_pin, self.o, self.act
+        if b is None:
+            e_b, states = NAN, ((a, p[a], o[a], act[a]),)
+        else:
+            e_b, states = e[b], ((a, p[a], o[a], act[a]), (b, p[b], o[b], act[b]))
+        events = self.trace.events
+        if events and t < events[-1].time:
             raise AssertionError("event times must be non-decreasing")
-        self.trace.events.append(ev)
+        events.append(TraceEvent(t, kind, a, b, boundary, y_value, e[a], e_b, updated, states))
         self._update_convergence(t)
 
     def _update_convergence(self, t: float) -> None:
@@ -592,13 +634,15 @@ class Simulation:
         t_change = self.t if at is None else at
         if t_change < self.t:
             raise ValueError("cannot apply a change in the past")
+        if new_r > self.r[idx]:
+            self._check_grown_zone(idx, new_r, t_change)
+        if self.trace is not None:
+            self.trace.parameter_changes.append(
+                {"t": t_change, "robot_id": robot_id, "v": new_v, "r": new_r,
+                 "events": len(self.trace.events)}
+            )
         if new_v == self.v[idx] and new_r == self.r[idx]:
-            # literal no-op: leave the state (and hence the trace) untouched
-            if self.trace is not None:
-                self.trace.parameter_changes.append(
-                    {"t": t_change, "robot_id": robot_id, "v": new_v, "r": new_r}
-                )
-            return
+            return  # literal no-op: leave the state (and hence the trace) untouched
         # pin everyone at the change time so past motion keeps old speeds
         for i in range(self.n):
             self._pin(i, self.position(i, t_change), t_change)
@@ -621,9 +665,34 @@ class Simulation:
         if self.trace is not None:
             self.trace.converged_at = None
             self.trace.t_star = self.t_star
-            self.trace.parameter_changes.append(
-                {"t": t_change, "robot_id": robot_id, "v": new_v, "r": new_r}
-            )
+
+    def _check_grown_zone(self, i: int, r_new: float, t: float) -> None:
+        """A3 at a radius growth: at time t, robot i's zone of radius r_new
+        must fit its region (d_i >= 2 r_i), stay inside the boundaries it
+        knows and clear its neighbours' zones.  A parked robot is checked
+        where it re-pins.  A shrink cannot break any of these."""
+        n = self.n
+        lo = 0.0 if i == 0 else self.y[i - 1]
+        hi = self.L if i == n - 1 else self.y[i]
+        if self.waiting_at[i] is None:
+            p = self.position(i, t)
+        else:
+            p = hi - r_new if self.waiting_at[i] == i else lo + r_new
+        ids = [rb.id for rb in self.fleet.robots]
+        zone = f"its zone [{p - r_new}, {p + r_new}]"
+        if lo is not None and hi is not None and hi - lo < 2.0 * r_new:
+            problem = f"its region [{lo}, {hi}] is shorter than 2r"
+        elif lo is not None and p - r_new < lo:
+            problem = f"{zone} crosses its boundary {lo}"
+        elif hi is not None and p + r_new > hi:
+            problem = f"{zone} crosses its boundary {hi}"
+        elif i > 0 and self.position(i - 1, t) + self.r[i - 1] > p - r_new:
+            problem = f"{zone} overlaps robot {ids[i - 1]}'s zone"
+        elif i < n - 1 and p + r_new > self.position(i + 1, t) - self.r[i + 1]:
+            problem = f"{zone} overlaps robot {ids[i + 1]}'s zone"
+        else:
+            return
+        raise AssumptionError(f"A3 violated at t={t}: robot {ids[i]} with r={r_new}: {problem}")
 
     # -- snapshots -----------------------------------------------------------
 

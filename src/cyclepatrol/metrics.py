@@ -117,7 +117,9 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         ]
         return report
 
-    final_e = trace.events[-1].e_snapshot
+    # e after the last event: a change logged after it does not enter
+    for _, _, final_e in trace.replay():
+        pass
     dev = max(abs(e - t_star) for e in final_e) / t_star
     report.verdicts.append(
         Verdict(

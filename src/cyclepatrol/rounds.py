@@ -45,40 +45,21 @@ class MeetingSet:
     meetings: tuple[tuple[int, float], ...]  # (boundary index, meeting time)
 
 
-def _reconstruct_states_at(trace: Trace, t0: float):
-    """Kinematic state of every robot at time t0 from its last trace event."""
-    n = trace.n
-    state = {}
-    for i in range(n):
-        state[i] = {
-            "t": 0.0,
-            "p": trace.initial_positions[i],
-            "o": trace.initial_orientations[i],
-            "a": 1,
-        }
-    for ev in trace.events:
-        if ev.time > t0:
-            break
+def _state_at(trace: Trace, t0: float):
+    """Boundary values, traversing times and each robot's kinematic state
+    ({"p", "o", "a"}) at t0, from one replay of the events up to t0."""
+    last = [(0.0, p, o, 1)
+            for p, o in zip(trace.initial_positions, trace.initial_orientations)]
+    y = e = None
+    for ev, y, e in trace.replay(until=t0):
         for (i, p, o, a) in ev.states:
-            state[i] = {"t": ev.time, "p": p, "o": o, "a": a}
-    speeds = [rb.v for rb in trace.fleet.robots]
-    out = []
-    for i in range(n):
-        s = state[i]
-        p = s["p"] + speeds[i] * s["a"] * s["o"] * (t0 - s["t"])
-        out.append({"p": p, "o": s["o"], "a": s["a"]})
-    return out
-
-
-def _boundaries_at(trace: Trace, t0: float):
-    last = None
-    for ev in trace.events:
-        if ev.time > t0:
-            break
-        last = ev
-    if last is None:
+            last[i] = (ev.time, p, o, a)
+    if y is None:
         raise NotConvergedError("no events before t0")
-    return list(last.y_snapshot), list(last.e_snapshot)
+    speeds = [rb.v for rb in trace.fleet.robots]
+    kin = [{"p": p + v * a * o * (t0 - t), "o": o, "a": a}
+           for v, (t, p, o, a) in zip(speeds, last)]
+    return list(y), list(e), kin
 
 
 def choose_t0(trace: Trace, search_rounds: float = 4.0,
@@ -111,14 +92,14 @@ def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
 
     Waiting robots carry te = t0; moving robots the exact time their zone
     reaches the boundary ahead.  Boundary values are frozen at t0 and the
-    round width is the realized common traversing time (median of the e
-    snapshot, within numerical noise of the closed form).
+    round width is the realized common traversing time (median of e at
+    t0, within numerical noise of the closed form).
     """
     if trace.converged_at is None:
         raise NotConvergedError("trace never reached the convergence criterion")
     if t0 is None:
         t0 = choose_t0(trace, after=after)
-    y_vals, e_vals = _boundaries_at(trace, t0)
+    y_vals, e_vals, kin = _state_at(trace, t0)
     dev = max(abs(e - trace.t_star) for e in e_vals) / trace.t_star
     if dev > tolerance:
         raise NotConvergedError(f"deviation {dev} above tolerance {tolerance} at t0")
@@ -126,7 +107,6 @@ def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
     n = trace.n
     radii = [rb.r for rb in trace.fleet.robots]
     speeds = [rb.v for rb in trace.fleet.robots]
-    kin = _reconstruct_states_at(trace, t0)
     te, pos, ori = [], [], []
     for i in range(n):
         s = kin[i]

@@ -452,7 +452,7 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
                 if abs(weighted - invariant) > rtol * max(1.0, abs(invariant)):
                     violations.append(f"run {runs}: weighted e sum drifted")
                     break
-        del sim  # traces are snapshot-heavy; reclaim between runs
+        del sim  # free this run's trace before the next run builds its own
     res.add("invariants_hold", not violations,
             "; ".join(violations) or
             f"{events_done} events over {runs} runs, worst pair gap {worst_pair:.2g}")

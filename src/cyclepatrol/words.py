@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 PLUS = 1
 MINUS = -1
@@ -27,13 +26,21 @@ class CalculusViolation(AssertionError):
 
 @dataclass(frozen=True)
 class Word:
+    """Letters plus their sizes n, n_plus, n_minus and n_bal, which are
+    plain attributes computed once here: a word is read about ten times
+    for each time one is built."""
+
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.letters) < 2:
+        letters = self.letters
+        if len(letters) < 2:
             raise ValueError("a word needs at least 2 letters")
-        if any(x not in (PLUS, MINUS) for x in self.letters):
+        if not all(map((PLUS, MINUS).__contains__, letters)):
             raise ValueError("letters must be +1 or -1")
+        n, n_plus = len(letters), letters.count(PLUS)
+        self.__dict__.update(n=n, n_plus=n_plus, n_minus=n - n_plus,
+                             n_bal=min(n_plus, n - n_plus))
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
@@ -41,22 +48,6 @@ class Word:
 
     def __str__(self) -> str:
         return "".join(_CHARS[x] for x in self.letters)
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @cached_property
-    def n_plus(self) -> int:
-        return sum(1 for x in self.letters if x == PLUS)
-
-    @property
-    def n_minus(self) -> int:
-        return self.n - self.n_plus
-
-    @property
-    def n_bal(self) -> int:
-        return min(self.n_plus, self.n_minus)
 
 
 def meeting_pairs(w: Word) -> list[int]:
@@ -147,6 +138,12 @@ def decompose(w: Word) -> SequenceDecomposition:
 
 
 class Rule(str, Enum):
+    """Formats as its value on every Python version (a str mixin's default
+    format changed in 3.11 and again in 3.12)."""
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
     MOVE_PLUS = "Move+"
     MOVE_MINUS = "Move-"
     EXPAND = "Expand"

@@ -108,6 +108,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "events[0]" in err and message in err
 
+    def test_change_breaking_a3_exits_2(self, tmp_path, capsys):
+        # at t=4200 robot 2 patrols [100, 200]; r=45 puts its zone over y0
+        doc = {"L": 400.0, "robots": [{"id": i + 1, "v": 1.0, "r": 10.0} for i in range(4)],
+               "events": [{"t": 4200.0, "robot": 2, "r": 45.0}]}
+        p = tmp_path / "grow.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--seed", "0", "--events", "300",
+                       "-o", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "A3 violated at t=4200.0: robot 2" in err
+
     def test_seeded_runs_byte_identical(self, fig3_fleet_file, tmp_path):
         blobs = []
         for k in range(2):

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -247,6 +249,42 @@ class TestParameterChange:
         with pytest.raises(StaticallyCoverableError):
             sim.apply_parameter_change(robot_id=1, r=250.1)
 
+    @staticmethod
+    def four_robot_run():
+        cfg = make_fleet([1.0] * 4, [10.0] * 4, 400.0)
+        pos, ori = random_initial_state(cfg, random.Random(0))
+        sim = Simulation(cfg, pos, ori)
+        sim.run_until(max_events=200)
+        return sim
+
+    def test_radius_growth_across_known_boundary_rejected(self):
+        # robot 2 has just left y0 = 100; r = 45 would put its zone over it
+        sim = self.four_robot_run()
+        t = sim.t
+        match = rf"A3 violated at t={re.escape(str(t))}: robot 2 .* crosses its boundary"
+        with pytest.raises(AssumptionError, match=match):
+            sim.apply_parameter_change(robot_id=2, r=45.0)
+        assert sim.r[1] == 10.0 and sim.t == t and not sim.trace.parameter_changes
+
+    def test_radius_growth_wider_than_region_rejected(self):
+        sim = self.four_robot_run()
+        with pytest.raises(AssumptionError, match="A3 violated.*robot 3 .*shorter than 2r"):
+            sim.apply_parameter_change(robot_id=3, r=50.5)
+
+    def test_radius_growth_that_fits_accepted(self):
+        # robot 3 is parked at y2 = 300 and re-pins to the new contact point
+        sim = self.four_robot_run()
+        assert sim.waiting_at[2] == 2
+        sim.apply_parameter_change(robot_id=3, r=30.0)
+        assert sim.position(2) == sim.y[2] - 30.0
+        sim.run_until(max_events=100)
+
+    def test_radius_growth_over_undiscovered_neighbour_rejected(self):
+        sim = Simulation(make_fleet([1.0, 1.0, 1.0], [0.0] * 3, 30.0),
+                         [2.0, 3.5, 20.0], [1, -1, 1])
+        with pytest.raises(AssumptionError, match="A3 violated at t=0.0: robot 1 .*overlaps robot 2"):
+            sim.apply_parameter_change(robot_id=1, r=1.8)
+
 
 class TimeFormTwin:
     """Independent event generator driven by traversing times only.
@@ -393,6 +431,26 @@ def random_runs(draw):
     return cfg, pos, ori, ops
 
 
+def drive(sim, ops, advance):
+    """Run the drawn ops on sim; every call that may apply an event or a
+    change goes through advance(call)."""
+    for op in ops:
+        kind = op[0]
+        if kind == "steps":
+            for _ in range(op[1]):
+                advance(sim.step)
+        elif kind == "run_until":
+            advance(lambda: sim.run_until(t_end=sim.t + op[1] * sim.t_star, max_events=1))
+        elif kind == "schedule_v":
+            _, dt, i, factor = op
+            sim.schedule_parameter_change(sim.t + dt * sim.t_star, i + 1, v=sim.v[i] * factor)
+        elif kind == "schedule_noop":
+            sim.schedule_parameter_change(sim.t + op[1] * sim.t_star, op[2] + 1)
+        else:
+            _, i, factor = op
+            advance(lambda: sim.apply_parameter_change(i + 1, r=sim.r[i] * factor))
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_runs())
 def test_queue_and_incremental_state_match_scratch(run):
@@ -417,21 +475,75 @@ def test_queue_and_incremental_state_match_scratch(run):
         assert sim.converged_at == expected_converged
         assert sim.next_candidate() == scan_next_candidate(sim)
 
-    for op in ops:
-        kind = op[0]
-        if kind == "steps":
-            for _ in range(op[1]):
-                advance(sim.step)
-        elif kind == "run_until":
-            advance(lambda: sim.run_until(t_end=sim.t + op[1] * sim.t_star, max_events=1))
-        elif kind == "schedule_v":
-            _, dt, i, factor = op
-            sim.schedule_parameter_change(sim.t + dt * sim.t_star, i + 1, v=sim.v[i] * factor)
-        elif kind == "schedule_noop":
-            sim.schedule_parameter_change(sim.t + op[1] * sim.t_star, op[2] + 1)
-        else:
-            _, i, factor = op
-            advance(lambda: sim.apply_parameter_change(i + 1, r=sim.r[i] * factor))
+    drive(sim, ops, advance)
+
+
+def bits(xs):
+    return ["nan" if math.isnan(x) else x.hex() for x in xs]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_runs())
+def test_replay_cursor_matches_engine_state(run):
+    """After every event, through scheduled speed and no-op changes and
+    immediate radius shrinks (logged at the clock of the last event), the
+    trace's replay cursor holds the engine's y and e bit for bit."""
+    cfg, pos, ori, ops = run
+    sim = Simulation(cfg, pos, ori)
+    held = []
+
+    def advance(call):
+        events = len(sim.trace.events)
+        call()
+        if len(sim.trace.events) > events:
+            held.append((bits(sim._y_nan), bits(sim.e_values())))
+
+    drive(sim, ops, advance)
+    assert [(bits(y), bits(e)) for _, y, e in sim.trace.replay()] == held
+
+
+def test_replay_until_stops_before_later_events(fig3_fleet):
+    """The cursor leaves y and e as they were after the last event up to
+    `until`: the first later event is not applied."""
+    pos, ori = random_initial_state(fig3_fleet, random.Random(3))
+    sim = Simulation(fig3_fleet, pos, ori)
+    sim.run_until(max_events=300)
+    t_cut = sim.trace.events[150].time
+    kept = [ev for ev in sim.trace.events if ev.time <= t_cut]
+    seen = []
+    for ev, y, e in sim.trace.replay(until=t_cut):
+        seen.append(ev)
+    full = sim.trace.replay()
+    for _ in kept:
+        _, y_ref, e_ref = next(full)
+    assert seen == kept
+    assert (bits(y), bits(e)) == (bits(y_ref), bits(e_ref))
+
+
+def trace_bytes_per_event(n, events=1500):
+    """Bytes a recorded trace retains per event (tracemalloc, trace on
+    minus trace off) on a random n-robot fleet."""
+    rng = random.Random(n)
+    radii = [rng.uniform(0.0, 2.0) for _ in range(n)]
+    cfg = make_fleet([rng.uniform(0.5, 2.0) for _ in range(n)], radii,
+                     2.0 * sum(radii) + 20.0 * n)
+    pos, ori = random_initial_state(cfg, rng)
+    retained = {}
+    for on in (False, True):
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg, pos, ori, record_trace=on)
+            sim.run_until(max_events=events)
+            retained[on] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del sim
+    return (retained[True] - retained[False]) / events
+
+
+def test_trace_bytes_per_event_independent_of_n():
+    small, large = trace_bytes_per_event(8), trace_bytes_per_event(256)
+    assert 0 < large <= 2.0 * small, (small, large)
 
 
 def test_near_simultaneous_events_resolve_by_boundary():

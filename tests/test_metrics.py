@@ -111,6 +111,17 @@ class TestVerdicts:
             reports.append(theorem_verdicts(sim.trace).to_dict())
         assert reports[0] == reports[1]
 
+    def test_final_e_ignores_change_after_last_event(self, fig3_fleet):
+        sim = converged_simulation(fig3_fleet, seed=21, n_minus=2, rtol=1e-9)
+        sim.step()  # the clock sits at the last event
+        e_last = sim.e_values()
+        converged_at = sim.trace.converged_at
+        sim.apply_parameter_change(robot_id=2, v=0.35)
+        assert sim.trace.parameter_changes[-1]["t"] == sim.trace.events[-1].time
+        sim.trace.converged_at = converged_at  # judge the run as of its last event
+        measured = theorem_verdicts(sim.trace).verdicts[0].measured
+        assert measured == max(e_last, key=lambda e: abs(e - sim.t_star))
+
     def test_json_output(self, fig3_fleet, tmp_path):
         sim = converged_simulation(fig3_fleet, seed=21, n_minus=2,
                                    rtol=1e-9, tail_rounds=16.0)

@@ -147,7 +147,7 @@ class TestLift:
         sim = converged_sim
         after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
         t0 = rounds.choose_t0(sim.trace, after=after)
-        snap_states = rounds._reconstruct_states_at(sim.trace, t0)
+        _, _, snap_states = rounds._state_at(sim.trace, t0)
         st = lift_from_trace(sim.trace, t0=t0)
         for i, s in enumerate(snap_states):
             if s["a"] == 0:

@@ -285,3 +285,18 @@ class TestExhaustiveSuite:
         assert not res.ok
         [(name, ok, detail)] = res.checks
         assert detail == f"{first}: interlaced word not in {Rule.MOVE_PLUS} regime"
+        assert detail.endswith("not in Move+ regime")
+
+
+def test_rule_formats_as_its_value():
+    assert f"{Rule.MOVE_PLUS}" == "Move+"
+    assert str(Rule.MOVE_MINUS) == "Move-"
+    assert f"{Rule.EXPAND:>8}" == "  Expand"
+
+
+def test_word_sizes_and_letter_check():
+    w = Word.from_string("++-+-")
+    assert (w.n, w.n_plus, w.n_minus, w.n_bal) == (5, 3, 2, 2)
+    for bad in [(1, 0), (1, 2), (1, float("nan")), (1, "+")]:
+        with pytest.raises(ValueError, match="letters must be"):
+            Word(bad)
