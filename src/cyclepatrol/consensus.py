@@ -1,11 +1,16 @@
-"""Matrix-level verification of the pairwise weighted-consensus claims.
+"""Closed-form verification of the pairwise weighted-consensus claims.
 
-The boundary update at a meeting of neighbors (i, i+1), written in
-traversing times, is one application of a Perron matrix P_i that mixes
-entries i and i+1 with weights eps_i / v.  This module builds those
-matrices, their symmetrized similar forms, checks their spectra, and
-iterates link sequences to the weighted-mean fixed point - independently
-of the simulator, so engine traces can be replayed against it.
+A meeting of neighbors (i, i+1) replaces their traversing times by the
+speed-weighted mean: e <- P_i e with P_i = I - diag(1/v) eps_i L_i, L_i the
+link's Laplacian and eps_i = v_i v_{i+1} / (v_i + v_{i+1}).  Because
+eps_i (1/v_i + 1/v_{i+1}) = 1, each P_i is a projection with spectrum
+{0, 1^(n-1)}: ``average_link`` applies it as a two-entry update, and no
+n x n matrix per link is stored.  ``check_spectrum`` checks that identity
+per link, which puts every eigenvalue of every P_i in (-1, 1], and checks
+the dense product of one round-robin sweep (``average_link`` applied to
+the columns of I) for spectral radius <= 1 and primitivity.  Through
+diag(sqrt v) that product is similar to the transposed product of the
+symmetrized links, so it has their spectrum and sign pattern.
 """
 
 from __future__ import annotations
@@ -17,82 +22,51 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class LinkMatrices:
-    link: int  # boundary between robots link and link+1 (0-based)
-    eps: float
-    P: np.ndarray
-    Ptilde: np.ndarray
-    Laptilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConsensusMatrices:
     n: int
     speeds: tuple[float, ...]
-    links: tuple[LinkMatrices, ...]
+    eps: tuple[float, ...]  # per link i (robots i, i+1): v_i v_{i+1} / (v_i + v_{i+1})
 
 
 def build_matrices(speeds) -> ConsensusMatrices:
-    v = np.asarray(speeds, dtype=float)
-    if v.ndim != 1 or len(v) < 2:
+    v = tuple(float(x) for x in speeds)
+    if len(v) < 2:
         raise ValueError("need at least two speeds")
-    if np.any(v <= 0):
+    if any(not x > 0 for x in v):
         raise ValueError("speeds must be positive")
-    n = len(v)
-    inv_sqrt = np.diag(1.0 / np.sqrt(v))
-    links = []
-    for i in range(n - 1):
-        eps = v[i] * v[i + 1] / (v[i] + v[i + 1])
-        Lap = np.zeros((n, n))
-        Lap[i, i] = Lap[i + 1, i + 1] = 1.0
-        Lap[i, i + 1] = Lap[i + 1, i] = -1.0
-        P = np.eye(n) - np.diag(1.0 / v) @ (eps * Lap)
-        Laptilde = inv_sqrt @ (eps * Lap) @ inv_sqrt
-        Ptilde = np.eye(n) - Laptilde
-        links.append(LinkMatrices(link=i, eps=eps, P=P, Ptilde=Ptilde,
-                                  Laptilde=Laptilde))
-    return ConsensusMatrices(n=n, speeds=tuple(v), links=tuple(links))
+    eps = tuple(a * b / (a + b) for a, b in zip(v, v[1:]))
+    return ConsensusMatrices(n=len(v), speeds=v, eps=eps)
+
+
+def average_link(e, speeds, i: int) -> None:
+    """e <- P_i e in place: entries i and i+1 become their speed-weighted
+    mean.  Works on a list, or on the rows of a 2-D array (one column per
+    vector)."""
+    a, b = speeds[i], speeds[i + 1]
+    e[i] = e[i + 1] = (a * e[i] + b * e[i + 1]) / (a + b)
 
 
 @dataclass
 class SpectrumReport:
     ok: bool
-    eigenvalues: list[np.ndarray]  # per link, ascending
     product_radius: float
     primitive: bool
     violations: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "per_link_eigenvalues": [list(e) for e in self.eigenvalues],
-            "product_spectral_radius": self.product_radius,
-            "primitive": self.primitive,
-            "violations": self.violations,
-        }
-
 
 def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
-    """Every eigenvalue of every P_i / Ptilde_i must lie in (-1, 1], and the
-    all-links product must be primitive.
-
-    Ptilde_i is symmetric and similar to P_i, so a symmetric eigensolver
-    covers both.
-    """
+    """Each P_i must be a projection (its one eigenvalue other than 1,
+    1 - eps_i (1/v_i + 1/v_{i+1}), is 0), and the sweep product must have
+    spectral radius <= 1 and be primitive."""
+    v = m.speeds
     violations = []
-    eigs = []
-    for lm in m.links:
-        lam = np.linalg.eigvalsh(lm.Ptilde)
-        eigs.append(lam)
-        if lam[0] <= -1.0 - atol or lam[-1] > 1.0 + atol:
-            violations.append(
-                f"link {lm.link}: eigenvalues [{lam[0]}, {lam[-1]}] leave (-1, 1]"
-            )
-        if not np.allclose(lm.Ptilde, lm.Ptilde.T, atol=1e-12):
-            violations.append(f"link {lm.link}: Ptilde not symmetric")
+    for i, eps in enumerate(m.eps):
+        lam = 1.0 - eps * (1.0 / v[i] + 1.0 / v[i + 1])
+        if abs(lam) > atol:
+            violations.append(f"link {i}: eigenvalue {lam} where a projection has 0")
     product = np.eye(m.n)
-    for lm in m.links:
-        product = product @ lm.Ptilde
+    for i in range(m.n - 1):
+        average_link(product, v, i)
     radius = max(abs(np.linalg.eigvals(product)))
     if radius > 1.0 + atol:
         violations.append(f"product spectral radius {radius} exceeds 1")
@@ -101,7 +75,6 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
         violations.append("all-links product is not primitive")
     return SpectrumReport(
         ok=not violations,
-        eigenvalues=eigs,
         product_radius=float(radius),
         primitive=primitive,
         violations=violations,
@@ -117,44 +90,50 @@ def fixed_point(speeds, e0) -> float:
 
 def iterate_consensus(m: ConsensusMatrices, e0, link_sequence=None,
                       tol: float = 1e-9, max_sweeps: int = 10_000):
-    """Apply P matrices along a link sequence until the weighted mean.
+    """Apply link updates along a link sequence until the weighted mean.
 
     Default sequence: round-robin sweeps over all links (jointly connected
-    infinitely often).  Returns (e, sweeps, converged).
+    infinitely often).  Returns (e, sweeps, converged), e a list.
     """
-    e = np.asarray(e0, dtype=float).copy()
-    target = fixed_point(m.speeds, e0)
+    v = m.speeds
+    e = [float(x) for x in e0]
+    target = fixed_point(v, e0)
     if link_sequence is not None:
         for link in link_sequence:
-            e = m.links[link].P @ e
-        return e, 0, bool(np.max(np.abs(e - target)) < tol)
+            average_link(e, v, link)
+        return e, 0, max(abs(x - target) for x in e) < tol
+    links = range(m.n - 1)
     for sweep in range(1, max_sweeps + 1):
-        for lm in m.links:
-            e = lm.P @ e
-        if np.max(np.abs(e - target)) < tol:
+        for i in links:
+            average_link(e, v, i)
+        if max(abs(x - target) for x in e) < tol:
             return e, sweep, True
     return e, max_sweeps, False
 
 
 def replay_trace(trace, rtol: float = 1e-9):
-    """Replay an engine trace's meetings through the matrices.
+    """Replay an engine trace's meetings through the link updates.
 
-    Starting from the first event at which every boundary is defined, each
-    boundary-updating meeting applies its link matrix; the resulting
-    vector must match the engine's traversing times (from the trace's
-    replay cursor) entrywise.  Returns (ok, max_err, updates_checked).
+    From the first event at which every boundary is defined, each
+    boundary-updating meeting applies its link update with the speeds in
+    force; the resulting vector must match the engine's traversing times
+    (from the trace's replay cursor) entrywise.  After a logged parameter
+    change, which recomputes all of e, the vector restarts from the
+    cursor's e.  Returns (ok, max_err, updates_checked).
     """
-    m = build_matrices([rb.v for rb in trace.fleet.robots])
     e = None
+    speeds = None
     max_err = 0.0
     checked = 0
-    for ev, _, e_engine in trace.replay():
+    for ev, _, e_engine, v in trace.replay():
+        if v is not speeds:  # the first event, or changes applied before ev
+            speeds, e = v, None
         if e is None:
             if not any(map(math.isnan, e_engine)):
-                e = np.array(e_engine)
+                e = list(e_engine)
         elif ev.kind == "meeting" and ev.updated:
-            e = m.links[ev.boundary].P @ e
-            max_err = max(max_err, float(np.max(np.abs(e - e_engine))))
+            average_link(e, v, ev.boundary)
+            max_err = max(max_err, max(abs(a - b) for a, b in zip(e, e_engine)))
             checked += 1
     if e is None:
         raise ValueError("trace never defines all boundaries")

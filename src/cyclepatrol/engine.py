@@ -49,8 +49,8 @@ that count with 0.
 The trace is a delta log: each event records only what it changed (the
 boundary value, the participants' traversing times and kinematic states),
 so its size does not grow with n.  ``Trace.replay()`` rebuilds the full y
-and e vectors after each event from those records and the logged
-parameter changes.
+and e vectors and the speeds in force after each event from those records
+and the logged parameter changes.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .fleet import FleetConfig, GoalPartition, RobotParams, StaticallyCoverableError, compute_t_star
+from .fleet import FleetConfig, RobotParams, StaticallyCoverableError, compute_t_star
 
 NAN = float("nan")
 
@@ -136,17 +136,21 @@ class Trace:
         return self.fleet.n
 
     def replay(self, until: float | None = None):
-        """Yield ``(ev, y, e)`` after each event, stopping before the first
-        event later than ``until``.
+        """Yield ``(ev, y, e, v)`` after each event, stopping before the
+        first event later than ``until``.
 
         y is the boundary vector (nan while unknown, y[n-1] = L) and e the
         traversing times, bit-identical to what the engine held after that
-        event.  The parameter changes logged before an event are applied
-        ahead of it, with all of e recomputed, as the engine does.  Both
-        lists are updated in place as the cursor moves: copy what you keep.
+        event; v is the tuple of speeds in force at the event.  The
+        parameter changes logged before an event are applied ahead of it,
+        with all of e recomputed, as the engine does, and v is then a new
+        tuple: ``v is not`` the previous event's v exactly at the events
+        where e was recomputed.  y and e are updated in place as the
+        cursor moves: copy what you keep.
         """
         n = self.n
         v = [rb.v for rb in self.fleet.robots]
+        speeds = tuple(v)
         r = [rb.r for rb in self.fleet.robots]
         index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
         y = [NAN] * (n - 1) + [self.fleet.L]
@@ -167,16 +171,14 @@ class Trace:
                 v[i], r[i] = changes[c]["v"], changes[c]["r"]
                 c += 1
             if c > applied:
+                speeds = tuple(v)
                 e[:] = [traversing(i) for i in range(n)]
             if ev.kind in ("discovery", "catch") or ev.updated:
                 j = ev.boundary
                 y[j] = ev.y_value
                 e[j] = traversing(j)
                 e[j + 1] = traversing(j + 1)
-            yield ev, y, e
-
-    def meetings(self) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.kind == "meeting"]
+            yield ev, y, e, speeds
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -304,9 +306,6 @@ class Simulation:
 
     def patrolling(self, i: int) -> bool:
         return self.left_known(i) and self.right_known(i)
-
-    def phase(self, i: int) -> str:
-        return "patrolling" if self.patrolling(i) else "discovering"
 
     def all_boundaries_known(self) -> bool:
         return all(y is not None for y in self.y)
@@ -693,20 +692,6 @@ class Simulation:
         else:
             return
         raise AssumptionError(f"A3 violated at t={t}: robot {ids[i]} with r={r_new}: {problem}")
-
-    # -- snapshots -----------------------------------------------------------
-
-    def state_snapshot(self) -> dict:
-        return {
-            "t": self.t,
-            "p": [self.position(i) for i in range(self.n)],
-            "o": list(self.o),
-            "a": list(self.act),
-            "waiting_at": list(self.waiting_at),
-            "y": list(self.y),
-            "v": list(self.v),
-            "r": list(self.r),
-        }
 
 
 def random_initial_state(cfg: FleetConfig, rng: random.Random,

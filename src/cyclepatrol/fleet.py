@@ -118,19 +118,39 @@ class FleetScenario:
     changes: list[dict] = field(default_factory=list)
 
 
+def _number(doc, name: str, where: str, kind=float):
+    """doc[name] converted by kind, or a ValueError that names the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"{where}: missing field '{name}'")
+    try:
+        return kind(doc[name])
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: field '{name}' must be a number, got {doc[name]!r}") from None
+
+
 def fleet_from_dict(doc: dict) -> FleetScenario:
     robots = []
+    ids = set()
     positions = []
     orientations = []
     have_state = True
-    for entry in doc["robots"]:
-        robots.append(RobotParams(id=int(entry["id"]), v=float(entry["v"]), r=float(entry["r"])))
+    L = _number(doc, "L", "fleet")
+    for k, entry in enumerate(doc["robots"]):
+        where = f"robots[{k}]"
+        rb = RobotParams(id=_number(entry, "id", where, int), v=_number(entry, "v", where),
+                         r=_number(entry, "r", where))
+        if rb.id in ids:
+            raise ValueError(f"{where}: duplicate robot id {rb.id}")
+        ids.add(rb.id)
+        robots.append(rb)
         if "p0" in entry and "o0" in entry:
-            positions.append(float(entry["p0"]))
-            orientations.append(int(entry["o0"]))
+            positions.append(_number(entry, "p0", where))
+            orientations.append(_number(entry, "o0", where, int))
         else:
             have_state = False
-    cfg = FleetConfig(robots=tuple(robots), L=float(doc["L"]))
+    cfg = FleetConfig(robots=tuple(robots), L=L)
     changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(doc.get("events", []))]
     return FleetScenario(
         config=cfg,
@@ -143,13 +163,12 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
 def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
     """One scheduled parameter change: a known robot id, a finite time
     t >= 0, and new values v and r that pass the robot checks."""
-    for name in ("t", "robot"):
-        if name not in ev:
-            raise ValueError(f"events[{k}]: missing field '{name}'")
+    t = _number(ev, "t", f"events[{k}]")
+    if "robot" not in ev:
+        raise ValueError(f"events[{k}]: missing field 'robot'")
     robot = next((rb for rb in cfg.robots if rb.id == ev["robot"]), None)
     if robot is None:
         raise ValueError(f"events[{k}]: robot {ev['robot']!r} is not in the fleet")
-    t = float(ev["t"])
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"events[{k}]: time t must be finite and non-negative, got {t}")
     v, r = ev.get("v"), ev.get("r")

@@ -118,7 +118,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         return report
 
     # e after the last event: a change logged after it does not enter
-    for _, _, final_e in trace.replay():
+    for _, _, final_e, _ in trace.replay():
         pass
     dev = max(abs(e - t_star) for e in final_e) / t_star
     report.verdicts.append(

@@ -36,9 +36,6 @@ class RoundState:
     def n(self) -> int:
         return len(self.te)
 
-    def round_start(self) -> float:
-        return self.t0 + self.k * self.t_round
-
 
 @dataclass(frozen=True)
 class MeetingSet:
@@ -51,7 +48,7 @@ def _state_at(trace: Trace, t0: float):
     last = [(0.0, p, o, 1)
             for p, o in zip(trace.initial_positions, trace.initial_orientations)]
     y = e = None
-    for ev, y, e in trace.replay(until=t0):
+    for ev, y, e, _ in trace.replay(until=t0):
         for (i, p, o, a) in ev.states:
             last[i] = (ev.time, p, o, a)
     if y is None:
@@ -268,17 +265,3 @@ def compare_with_engine(trace: Trace, n_rounds: int = 100,
         max_dp = max(max_dp, abs(la - lb), abs(ra - rb))
     ok = max_dt <= tol and max_dp <= tol
     return EquivalenceReport(ok, n_rounds, len(model), len(engine), max_dt, max_dp)
-
-
-def round_report_rows(states: list[RoundState],
-                      meeting_sets: list[MeetingSet]) -> list[str]:
-    """`round,meetings,n_bal,interlaced,max_event_offset` CSV rows."""
-    rows = []
-    for s, ms in zip(states, meeting_sets):
-        n_bal = min(s.ori.count(1), s.ori.count(-1))
-        inter = is_interlaced(s)[0]
-        start = s.round_start()
-        offs = [t - start for t in s.te if t >= start]
-        max_off = max(offs) if offs else 0.0
-        rows.append(f"{s.k},{len(ms.meetings)},{n_bal},{int(inter)},{max_off:.9f}")
-    return rows

@@ -321,12 +321,3 @@ def evolve_until_interlaced(w: Word, max_rounds: int | None = None):
         ev.step()
         rounds += 1
     return rounds, ev.history
-
-
-def history_csv_rows(history: list[dict[int, int]]) -> list[str]:
-    """`round,sequence_id,length` rows for the per-sequence length history."""
-    rows = []
-    for k, lengths in enumerate(history):
-        for sid in sorted(lengths):
-            rows.append(f"{k},{sid},{lengths[sid]}")
-    return rows

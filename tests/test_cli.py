@@ -96,6 +96,7 @@ class TestSimulate:
         ({"robot": 2, "v": 0.5}, "missing field 't'"),
         ({"t": 100.0, "robot": 9, "v": 0.5}, "robot 9 is not in the fleet"),
         ({"t": 100.0, "robot": 2, "v": -1.0}, "speed v must be finite and positive"),
+        ({"t": None, "robot": 2, "v": 0.5}, "field 't' must be a number, got None"),
     ])
     def test_bad_scheduled_change_exits_2(self, fig3_fleet_file, tmp_path, capsys,
                                           event, message):
@@ -107,6 +108,37 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "events[0]" in err and message in err
+
+    @pytest.mark.parametrize("where, field", [("robot", "v"), ("robot", "r"), ("fleet", "L")])
+    def test_null_parameter_exits_2(self, fig3_fleet_file, tmp_path, capsys, where, field):
+        doc = json.loads(fig3_fleet_file.read_text())
+        (doc["robots"][1] if where == "robot" else doc)[field] = None
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "-o", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}' must be a number, got None" in err
+        assert ("robots[1]: " if where == "robot" else "fleet: ") in err
+
+    def test_top_level_array_exits_2(self, fig3_fleet_file, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(json.loads(fig3_fleet_file.read_text())["robots"]))
+        rc = cli.main(["simulate", str(p), "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert "fleet must be a JSON object, got list" in capsys.readouterr().err
+
+    def test_duplicate_robot_id_exits_2(self, fig3_fleet_file, tmp_path, capsys):
+        # a change for robot 2 would reach a different robot in the engine
+        # (the first with the id) than in the trace's replay (the last)
+        doc = json.loads(fig3_fleet_file.read_text())
+        doc["robots"][3]["id"] = 2
+        doc["events"] = [{"t": 100.0, "robot": 2, "v": 0.5}]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert "robots[3]: duplicate robot id 2" in capsys.readouterr().err
 
     def test_change_breaking_a3_exits_2(self, tmp_path, capsys):
         # at t=4200 robot 2 patrols [100, 200]; r=45 puts its zone over y0

@@ -1,60 +1,109 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclepatrol import consensus
 from cyclepatrol.engine import Simulation, random_initial_state
+from cyclepatrol.fleet import fleet_from_dict
 
 from conftest import make_fleet
+from test_golden import CASES
+
+
+def reference_link(m, i):
+    """Dense P_i, Ptilde_i and Laptilde_i of link i from m's speeds and
+    eps: P_i = I - diag(1/v) eps_i L_i and its symmetrized similar form."""
+    v = np.array(m.speeds)
+    n = m.n
+    lap = np.zeros((n, n))
+    lap[i, i] = lap[i + 1, i + 1] = 1.0
+    lap[i, i + 1] = lap[i + 1, i] = -1.0
+    inv_sqrt = np.diag(1.0 / np.sqrt(v))
+    laptilde = inv_sqrt @ (m.eps[i] * lap) @ inv_sqrt
+    return np.eye(n) - np.diag(1.0 / v) @ (m.eps[i] * lap), np.eye(n) - laptilde, laptilde
+
+
+def link_matrix(m, i):
+    """The matrix average_link applies: its action on the columns of I."""
+    a = np.eye(m.n)
+    consensus.average_link(a, m.speeds, i)
+    return a
+
+
+def random_matrices(rng, n_lo=2, n_hi=12, v_lo=0.1):
+    n = rng.randint(n_lo, n_hi)
+    return consensus.build_matrices([rng.uniform(v_lo, 10.0) for _ in range(n)])
 
 
 class TestBuildMatrices:
     def test_equal_speeds_mixing(self):
         m = consensus.build_matrices([1.0, 1.0])
-        lm = m.links[0]
-        assert lm.eps == 0.5
-        assert np.allclose(lm.P, [[0.5, 0.5], [0.5, 0.5]])
+        assert m.eps == (0.5,)
+        assert np.allclose(reference_link(m, 0)[0], [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(link_matrix(m, 0), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_unequal_speeds_entries(self):
         m = consensus.build_matrices([1.0, 3.0])
-        lm = m.links[0]
-        assert lm.eps == pytest.approx(0.75)
-        assert lm.P[0, 0] == pytest.approx(0.25)
-        assert lm.P[0, 1] == pytest.approx(0.75)
-        assert lm.P[1, 1] == pytest.approx(0.75)
-        assert lm.P[1, 0] == pytest.approx(0.25)
+        assert m.eps[0] == pytest.approx(0.75)
+        for P in (reference_link(m, 0)[0], link_matrix(m, 0)):
+            assert P[0, 0] == pytest.approx(0.25)
+            assert P[0, 1] == pytest.approx(0.75)
+            assert P[1, 1] == pytest.approx(0.75)
+            assert P[1, 0] == pytest.approx(0.25)
 
     def test_rows_sum_to_one(self, rng):
         for _ in range(30):
-            n = rng.randint(2, 16)
-            speeds = [rng.uniform(0.1, 10.0) for _ in range(n)]
-            m = consensus.build_matrices(speeds)
-            for lm in m.links:
-                assert np.allclose(lm.P @ np.ones(n), np.ones(n), atol=1e-12)
+            m = random_matrices(rng, n_hi=16)
+            for i in range(m.n - 1):
+                for P in (reference_link(m, i)[0], link_matrix(m, i)):
+                    assert np.allclose(P @ np.ones(m.n), np.ones(m.n), atol=1e-12)
 
     def test_speeds_are_left_fixed_vector(self, rng):
         for _ in range(30):
-            n = rng.randint(2, 12)
-            v = np.array([rng.uniform(0.1, 10.0) for _ in range(n)])
-            m = consensus.build_matrices(v)
-            for lm in m.links:
-                assert np.allclose(v @ lm.P, v, atol=1e-10)
+            m = random_matrices(rng)
+            v = np.array(m.speeds)
+            for i in range(m.n - 1):
+                for P in (reference_link(m, i)[0], link_matrix(m, i)):
+                    assert np.allclose(v @ P, v, atol=1e-10)
 
     def test_symmetrized_form_is_similar(self, rng):
         for _ in range(10):
-            n = rng.randint(2, 8)
-            v = np.array([rng.uniform(0.1, 10.0) for _ in range(n)])
-            m = consensus.build_matrices(v)
-            for lm in m.links:
-                assert np.allclose(lm.Ptilde, lm.Ptilde.T, atol=1e-12)
-                sv = np.diag(np.sqrt(v))
-                sv_inv = np.diag(1 / np.sqrt(v))
-                assert np.allclose(lm.Ptilde, sv @ lm.P @ sv_inv, atol=1e-10)
+            m = random_matrices(rng, n_hi=8)
+            sv = np.diag(np.sqrt(m.speeds))
+            sv_inv = np.diag(1 / np.sqrt(m.speeds))
+            for i in range(m.n - 1):
+                _, Ptilde, _ = reference_link(m, i)
+                assert np.allclose(Ptilde, Ptilde.T, atol=1e-12)
+                assert np.allclose(Ptilde, sv @ link_matrix(m, i) @ sv_inv, atol=1e-10)
 
     def test_nonpositive_speed_rejected(self):
         with pytest.raises(ValueError):
             consensus.build_matrices([1.0, 0.0])
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e4, 1e4)),
+                min_size=2, max_size=12),
+       st.data())
+def test_link_update_is_the_dense_projection(entries, data):
+    """average_link equals P_i @ e of the dense reference, conserves v.e
+    and leaves constant vectors fixed."""
+    speeds, e0 = zip(*entries)
+    m = consensus.build_matrices(speeds)
+    i = data.draw(st.integers(0, m.n - 2))
+    P = reference_link(m, i)[0]
+    e = list(e0)
+    consensus.average_link(e, m.speeds, i)
+    scale = max(map(abs, e0)) + 1.0
+    assert np.allclose(e, P @ np.array(e0), rtol=1e-12, atol=1e-12 * scale)
+    v = np.array(speeds)
+    assert float(v @ e) == pytest.approx(float(v @ e0), rel=1e-12, abs=1e-12 * scale * v.sum())
+    const = [e0[0]] * m.n
+    consensus.average_link(const, m.speeds, i)
+    assert const == pytest.approx([e0[0]] * m.n, rel=1e-15)
 
 
 class TestSpectrum:
@@ -62,7 +111,8 @@ class TestSpectrum:
         m = consensus.build_matrices([1.0, 1.0])
         rep = consensus.check_spectrum(m)
         assert rep.ok
-        assert rep.eigenvalues[0] == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert np.linalg.eigvalsh(reference_link(m, 0)[1]) == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert np.linalg.eigvals(link_matrix(m, 0)) == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_random_fleets_spectra(self, rng):
         for _ in range(200):
@@ -73,23 +123,38 @@ class TestSpectrum:
 
     def test_laplacians_positive_semidefinite(self, rng):
         for _ in range(30):
-            n = rng.randint(2, 10)
-            m = consensus.build_matrices([rng.uniform(0.1, 10.0) for _ in range(n)])
-            for lm in m.links:
-                assert np.linalg.eigvalsh(lm.Laptilde).min() > -1e-12
+            m = random_matrices(rng, n_hi=10)
+            for i in range(m.n - 1):
+                assert np.linalg.eigvalsh(reference_link(m, i)[2]).min() > -1e-12
 
     def test_product_primitive_and_contractive(self, rng):
         for _ in range(20):
-            n = rng.randint(3, 12)
-            m = consensus.build_matrices([rng.uniform(0.1, 10.0) for _ in range(n)])
+            m = random_matrices(rng, n_lo=3)
             rep = consensus.check_spectrum(m)
             assert rep.primitive
             assert rep.product_radius <= 1.0 + 1e-9
 
-    def test_report_serializes(self):
-        rep = consensus.check_spectrum(consensus.build_matrices([1.0, 2.0, 3.0]))
-        doc = rep.to_dict()
-        assert doc["ok"] and len(doc["per_link_eigenvalues"]) == 2
+    def test_sweep_product_has_the_symmetrized_spectrum(self, rng):
+        # the radius check reads the sweep built from average_link; it must
+        # have the spectrum of the product of the reference Ptilde_i
+        for _ in range(20):
+            m = random_matrices(rng, n_lo=3, n_hi=10)
+            sweep = np.eye(m.n)
+            tilde = np.eye(m.n)
+            for i in range(m.n - 1):
+                sweep = reference_link(m, i)[0] @ sweep
+                tilde = tilde @ reference_link(m, i)[1]
+            sv = np.diag(np.sqrt(m.speeds))
+            assert np.allclose(sv @ sweep @ np.linalg.inv(sv), tilde.T, atol=1e-10)
+            assert consensus.check_spectrum(m).product_radius == pytest.approx(
+                max(abs(np.linalg.eigvals(tilde))), abs=1e-9)
+
+    def test_mutant_eps_is_a_violation(self, rng):
+        m = random_matrices(rng, n_lo=3)
+        mutant = dataclasses.replace(m, eps=tuple(0.9 * x for x in m.eps))
+        rep = consensus.check_spectrum(mutant)
+        assert not rep.ok
+        assert len(rep.violations) == m.n - 1 and "link 0" in rep.violations[0]
 
 
 class TestIterate:
@@ -121,11 +186,11 @@ class TestIterate:
         n = 6
         v = np.array([rng.uniform(0.2, 5.0) for _ in range(n)])
         m = consensus.build_matrices(v)
-        e = np.array([rng.uniform(0.0, 100.0) for _ in range(n)])
+        e = [rng.uniform(0.0, 100.0) for _ in range(n)]
         total = float(v @ e)
         for _ in range(50):
-            for lm in m.links:
-                e = lm.P @ e
+            for i in range(n - 1):
+                consensus.average_link(e, m.speeds, i)
                 assert float(v @ e) == pytest.approx(total, rel=1e-12)
 
     def test_explicit_link_sequence(self):
@@ -168,3 +233,28 @@ class TestEngineReplay:
         sim.run_until(max_events=2000)
         ok, err, _ = consensus.replay_trace(sim.trace)
         assert not ok and err > 1e-3
+
+    def test_replay_across_speed_change(self, fig3_fleet):
+        # robot 2 halves its speed mid-run: the replay takes the new speed
+        # from the cursor and restarts from its e at the change
+        pos, ori = random_initial_state(fig3_fleet, random.Random(2))
+        sim = Simulation(fig3_fleet, pos, ori)
+        sim.schedule_parameter_change(5000.0, 2, v=0.35)
+        sim.run_until(max_events=600)
+        assert sim.trace.parameter_changes
+        ok, err, count = consensus.replay_trace(sim.trace)
+        assert ok and err <= 1e-9
+        assert count == 222
+
+    def test_replay_golden_two_changes(self):
+        doc, flags = CASES["n8-two-changes"]
+        spec = fleet_from_dict(doc)
+        pos, ori = random_initial_state(spec.config, random.Random(int(flags[1])))
+        sim = Simulation(spec.config, pos, ori)
+        for ch in spec.changes:
+            sim.schedule_parameter_change(ch["t"], ch["robot"], v=ch.get("v"), r=ch.get("r"))
+        sim.run_until(t_end=float(flags[3]))
+        assert len(sim.trace.parameter_changes) == 2
+        ok, err, count = consensus.replay_trace(sim.trace)
+        assert ok, f"max err {err}"
+        assert count > 800

@@ -27,7 +27,7 @@ def two_robot_sim(L=2.0, v=(1.0, 1.0), r=(0.0, 0.0), p=(0.5, 1.5), o=(1, -1)):
 class TestInitValidation:
     def test_valid_state(self):
         sim = two_robot_sim()
-        assert sim.phase(0) == "discovering"
+        assert not sim.patrolling(0)
 
     def test_uniform_orientations_rejected(self):
         with pytest.raises(AssumptionError, match="A2"):
@@ -295,23 +295,23 @@ class TimeFormTwin:
     """
 
     def __init__(self, sim):
-        snap = sim.state_snapshot()
         self.n = sim.n
-        self.v = list(snap["v"])
-        self.t = snap["t"]
-        self.o = list(snap["o"])
-        self.waiting_at = list(snap["waiting_at"])
-        self.e = list(sim.e_values())
+        self.v = list(sim.v)
+        self.t = sim.t
+        self.o = list(sim.o)
+        self.waiting_at = list(sim.waiting_at)
+        self.e = sim.e_values()
         self.arrival = [math.inf] * self.n
         for i in range(self.n):
             if self.waiting_at[i] is not None:
                 continue
+            p = sim.position(i)
             if self.o[i] > 0:
-                target = (sim.L if i == self.n - 1 else snap["y"][i]) - snap["r"][i]
-                self.arrival[i] = self.t + (target - snap["p"][i]) / self.v[i]
+                target = (sim.L if i == self.n - 1 else sim.y[i]) - sim.r[i]
+                self.arrival[i] = self.t + (target - p) / self.v[i]
             else:
-                target = (0.0 if i == 0 else snap["y"][i - 1]) + snap["r"][i]
-                self.arrival[i] = self.t + (snap["p"][i] - target) / self.v[i]
+                target = (0.0 if i == 0 else sim.y[i - 1]) + sim.r[i]
+                self.arrival[i] = self.t + (p - target) / self.v[i]
 
     def heading_boundary(self, i):
         return i if self.o[i] > 0 else (i - 1) % self.n
@@ -487,7 +487,9 @@ def bits(xs):
 def test_replay_cursor_matches_engine_state(run):
     """After every event, through scheduled speed and no-op changes and
     immediate radius shrinks (logged at the clock of the last event), the
-    trace's replay cursor holds the engine's y and e bit for bit."""
+    trace's replay cursor holds the engine's y, e and speeds bit for bit,
+    and yields a new speeds tuple exactly at the first event and the
+    events with logged changes before them."""
     cfg, pos, ori, ops = run
     sim = Simulation(cfg, pos, ori)
     held = []
@@ -496,10 +498,19 @@ def test_replay_cursor_matches_engine_state(run):
         events = len(sim.trace.events)
         call()
         if len(sim.trace.events) > events:
-            held.append((bits(sim._y_nan), bits(sim.e_values())))
+            held.append((bits(sim._y_nan), bits(sim.e_values()), tuple(sim.v)))
 
     drive(sim, ops, advance)
-    assert [(bits(y), bits(e)) for _, y, e in sim.trace.replay()] == held
+    replayed = []
+    renewed = []
+    prev = None
+    for _, y, e, v in sim.trace.replay():
+        replayed.append((bits(y), bits(e), v))
+        renewed.append(v is not prev)
+        prev = v
+    assert replayed == held
+    changed_at = {ch["events"] for ch in sim.trace.parameter_changes}
+    assert renewed == [k == 0 or k in changed_at for k in range(len(held))]
 
 
 def test_replay_until_stops_before_later_events(fig3_fleet):
@@ -511,11 +522,11 @@ def test_replay_until_stops_before_later_events(fig3_fleet):
     t_cut = sim.trace.events[150].time
     kept = [ev for ev in sim.trace.events if ev.time <= t_cut]
     seen = []
-    for ev, y, e in sim.trace.replay(until=t_cut):
+    for ev, y, e, _ in sim.trace.replay(until=t_cut):
         seen.append(ev)
     full = sim.trace.replay()
     for _ in kept:
-        _, y_ref, e_ref = next(full)
+        _, y_ref, e_ref, _ = next(full)
     assert seen == kept
     assert (bits(y), bits(e)) == (bits(y_ref), bits(e_ref))
 

@@ -12,7 +12,6 @@ from cyclepatrol.rounds import (
     compare_with_engine,
     is_interlaced,
     lift_from_trace,
-    round_report_rows,
     run_rounds,
     step_round,
 )
@@ -161,11 +160,3 @@ class TestLift:
         rep = compare_with_engine(sim.trace, n_rounds=100, tol=1e-6, t0=st.t0)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert rep.model_meetings == rep.engine_meetings == 400
-
-
-def test_round_report_rows():
-    st = synthetic_state([1, -1, 1, -1], [0.2, 0.5, 0.1, 0.4])
-    states, meetings = run_rounds(st, 3)
-    rows = round_report_rows(states[:-1], meetings)
-    assert rows[0].startswith("0,2,2,1,")
-    assert len(rows) == 3

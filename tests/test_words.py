@@ -13,7 +13,6 @@ from cyclepatrol.words import (
     classify_transition,
     decompose,
     evolve_until_interlaced,
-    history_csv_rows,
     is_interlaced,
     meeting_pairs,
     step_word,
@@ -197,11 +196,9 @@ class TestEvolve:
                     assert rounds <= n, f"{w} not interlacing"
                 assert rounds < max(w.n_bal, 1), f"{w} took {rounds} rounds"
 
-    def test_history_csv(self):
-        _, history = evolve_until_interlaced(W("++--"))
-        rows = history_csv_rows(history)
-        assert rows[0] == "0,0,2"
-        assert rows[-1] == "1,0,4"
+    def test_length_history(self):
+        # one sequence of length 2 grows to 4 in the one round to interlacing
+        assert evolve_until_interlaced(W("++--")) == (1, [{0: 2}, {0: 4}])
 
     def test_sequence_count_never_grows(self):
         for n in range(2, 12):
