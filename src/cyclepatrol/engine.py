@@ -24,22 +24,22 @@ time.  This is the discrete-asynchronous reading of the protocol and is
 what makes the event times reproducible by the matrix oracle and the
 round model to tight tolerances.
 
-Scheduling is a kinetic event queue (the certificate-invalidation pattern
-of kinetic data structures): a binary heap holds one entry per key, that
-is per robot's arrival and per inner boundary's contact, ordered by a
-lower bound of its event time and stamped with a per-key version.  An event at boundary
-j re-queues only the arrivals of robots j, j+1 and the contacts j-1..j+1,
-whose inputs it changed; the superseded entries become stale and are
-dropped when popped, or by compacting the heap once stale entries
-outnumber live ones.  A parameter change rebuilds the queue.
+Scheduling is a kinetic event queue (the certificate pattern of kinetic
+data structures, Basch, Guibas & Hershberger, SODA 1997).  Each candidate
+time is computed once, when its key is queued, from the state pinned at
+the participants' last events, and stays exact until an event changes one
+of its inputs.  A binary heap holds one entry per key (a robot's arrival
+or an inner boundary's contact), ordered by that time and stamped with a
+per-key version.  An event at boundary j re-queues only the arrivals of
+robots j, j+1 and the open contacts j-1..j+1, whose inputs it changed;
+superseded entries become stale and are dropped when popped, or by
+compacting the heap once stale entries outnumber live ones.  A parameter
+change re-pins every robot and rebuilds the queue.
 
-The heap is only a filter.  Candidate times are recomputed exactly, at
-the current clock and with the same arithmetic, for every entry whose key
-falls within TIME_EPS of the earliest recomputed time; the simultaneous-
-event rule is then applied to those candidates alone.  Because entries
-are ordered by lower bounds, no entry left in the heap can be earlier than that window,
-so the event chosen and its time are bit-identical to a full scan of all
-candidates.
+Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous
+and resolve by boundary.  No candidate time reads the clock, so pausing
+and resuming a run leaves its trace unchanged, and scaling every length
+or every speed by a power of two scales every event time exactly.
 
 The traversing times e, the NaN-for-unknown boundary vector and the count
 of robots outside CONVERGENCE_RTOL are kept incrementally: writing y[j]
@@ -65,15 +65,11 @@ from .fleet import FleetConfig, RobotParams, StaticallyCoverableError, compute_t
 
 NAN = float("nan")
 
-TIME_EPS = 1e-9  # events closer than this are simultaneous
+# Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous.
+# L / sum(v) is a time in the fleet's own units, so the tie rule does not
+# depend on the choice of length or time unit.
+TIME_EPS = 1e-11
 CONVERGENCE_RTOL = 1e-3  # tooling threshold for Trace.converged_at
-# A queue entry is ordered by its candidate time minus
-# BOUND_MARGIN * (L / rate + |time|), where rate is the speed that divides
-# the distance.  The same candidate computed at two clock values differs
-# by a dozen roundings of a position (at most L) divided by rate, plus the
-# rounding of the time itself; BOUND_MARGIN is a few thousand ulps, so the
-# result is a lower bound of every later recomputation.
-BOUND_MARGIN = 1e-12
 
 
 class AssumptionError(ValueError):
@@ -187,12 +183,8 @@ class Trace:
                 rb = "" if ev.robot_b is None else str(ev.robot_b + 1)
                 fh.write(
                     f"{ev.time:.9f},{ev.kind},{ev.robot_a + 1},{rb},"
-                    f"{ev.boundary + 1},{ev.y_value:.9f},{_fmt(ev.e_a)},{_fmt(ev.e_b)}\n"
+                    f"{ev.boundary + 1},{ev.y_value:.9f},{ev.e_a:.9f},{ev.e_b:.9f}\n"
                 )
-
-
-def _fmt(x: float) -> str:
-    return "nan" if math.isnan(x) else f"{x:.9f}"
 
 
 class _Candidate(NamedTuple):
@@ -200,7 +192,6 @@ class _Candidate(NamedTuple):
     boundary: int
     robot: int  # arriving robot, or left robot of a pair contact
     pair: bool  # True: discovery/catch contact, False: arrival
-    rate: float  # speed dividing the remaining distance (sets the key margin)
 
 
 class Simulation:
@@ -211,13 +202,11 @@ class Simulation:
     runs produce bit-identical traces.
 
     Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
-    contact across inner boundary j.  ``next_candidate`` pops entries in
-    order of their time bounds, recomputes each live one exactly at
-    ``self.t``, stops once the next bound exceeds the earliest recomputed
-    time plus TIME_EPS, and pushes every popped entry back with a bound
-    from its recomputed time.  Per event
-    this costs O(log n) plus the few candidates in the window, not the
-    2n-1 of a full scan.
+    contact across inner boundary j.  An entry carries its candidate and
+    the candidate's exact time.  ``next_candidate`` pops stale entries off
+    the top and picks among the live ones within ``tie_eps`` (TIME_EPS *
+    L / sum(v), recomputed at a parameter change) of the first, so an
+    event costs O(log n), not the 2n-1 candidates of a full scan.
 
     ``e_values()`` returns a fresh list copied from the maintained
     traversing times; ``max_deviation()`` reads the same list.
@@ -245,6 +234,7 @@ class Simulation:
         self.seam_known_left = False   # robot 0 has recorded the seam
         self.seam_known_right = False  # robot n-1 has recorded the seam
         self.t_star = compute_t_star(fleet)
+        self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._pending_changes: list[dict] = []
         self.trace = Trace(
             fleet=fleet,
@@ -257,7 +247,7 @@ class Simulation:
         # number of robots whose e is not within CONVERGENCE_RTOL of t_star
         self._y_nan = [NAN] * (n - 1) + [self.L]
         self._recompute_e()
-        self._queue: list[tuple[float, int, int]] = []
+        self._queue: list[tuple[float, int, int, _Candidate]] = []
         self._version = [0] * (2 * n - 1)
         self._rebuild_queue()
 
@@ -362,15 +352,14 @@ class Simulation:
             target_val = self.L if i == self.n - 1 else self.y[i]
             if target_val is None:
                 return None
-            dist = (target_val - self.r[i]) - self.position(i)
+            dist = (target_val - self.r[i]) - self.p_pin[i]
         else:
             boundary = (i - 1) % self.n
             target_val = 0.0 if i == 0 else self.y[i - 1]
             if target_val is None:
                 return None
-            dist = self.position(i) - (target_val + self.r[i])
-        t_hit = self.t + max(dist, 0.0) / self.v[i]
-        return _Candidate(t_hit, boundary, i, False, self.v[i])
+            dist = self.p_pin[i] - (target_val + self.r[i])
+        return _Candidate(self.t_pin[i] + max(dist, 0.0) / self.v[i], boundary, i, False)
 
     def _contact_candidate(self, j: int) -> _Candidate | None:
         # only inner boundaries are discoverable; the seam is fixed
@@ -382,23 +371,20 @@ class Simulation:
         closing = ua - ub
         if closing <= 0.0:
             return None
-        gap = (self.position(b) - self.r[b]) - (self.position(a) + self.r[a])
-        t_hit = self.t + max(gap, 0.0) / closing
-        return _Candidate(t_hit, j, a, True, closing)
+        t_ref = max(self.t_pin[a], self.t_pin[b])
+        gap = (self.position(b, t_ref) - self.r[b]) - (self.position(a, t_ref) + self.r[a])
+        return _Candidate(t_ref + max(gap, 0.0) / closing, j, a, True)
 
     def _candidate(self, key: int) -> _Candidate | None:
         n = self.n
         return self._arrival_candidate(key) if key < n else self._contact_candidate(key - n)
-
-    def _lower_bound(self, c: _Candidate) -> float:
-        return c.time - BOUND_MARGIN * (self.L / c.rate + abs(c.time))
 
     def _queue_key(self, key: int) -> None:
         """Supersede key's queued entry, if any, and queue its candidate."""
         self._version[key] += 1
         c = self._candidate(key)
         if c is not None:
-            heapq.heappush(self._queue, (self._lower_bound(c), key, self._version[key]))
+            heapq.heappush(self._queue, (c.time, key, self._version[key], c))
 
     def _rebuild_queue(self) -> None:
         self._queue = []
@@ -408,12 +394,14 @@ class Simulation:
     def _requeue_around(self, j: int) -> None:
         """Re-queue what an event at boundary j can change: the arrivals
         of robots j and j+1 and the contacts j-1..j+1 (indices mod n; the
-        seam has no contact)."""
-        n = self.n
+        seam has no contact).  The contact of a known boundary j-1 or j+1
+        is skipped: it is dead for good, and the event that set that
+        boundary already superseded its entry."""
+        n, y = self.n, self.y
         self._queue_key(j)
         self._queue_key((j + 1) % n)
         for k in (j - 1, j, (j + 1) % n):
-            if 0 <= k < n - 1:
+            if 0 <= k < n - 1 and (k == j or y[k] is None):
                 self._queue_key(n + k)
         # live entries are at most one per key, so past twice the key
         # count the stale ones are the majority
@@ -423,30 +411,28 @@ class Simulation:
             heapq.heapify(self._queue)
 
     def next_candidate(self) -> _Candidate | None:
-        """The next event: of the candidates within TIME_EPS of the
+        """The next event: of the candidates within ``tie_eps`` of the
         earliest, the one at the lowest (boundary, robot), arrivals first.
 
-        Live entries are popped in order of their time bounds and
-        recomputed exactly until the next bound exceeds the earliest
-        recomputed time plus TIME_EPS; the bounds are lower bounds, so
-        every candidate in that window is among them.  All popped entries
-        go back with bounds from their recomputed times.
+        Stale entries are popped off the top of the heap; the live entries
+        within the tie window of the first one are popped, and pushed back
+        once the tie rule has chosen among them.
         """
         queue, version = self._queue, self._version
+        while queue and queue[0][2] != version[queue[0][1]]:
+            heapq.heappop(queue)
+        if not queue:
+            return None
+        limit = queue[0][0] + self.tie_eps
         popped = []
-        t_min = math.inf
-        while queue and queue[0][0] <= t_min + TIME_EPS:
-            _, key, ver = heapq.heappop(queue)
-            if ver == version[key]:
-                c = self._candidate(key)
-                popped.append((key, c))
-                if c.time < t_min:
-                    t_min = c.time
-        for key, c in popped:
-            heapq.heappush(queue, (self._lower_bound(c), key, version[key]))
-        group = [c for _, c in popped if c.time <= t_min + TIME_EPS]
+        while queue and queue[0][0] <= limit:
+            en = heapq.heappop(queue)
+            if en[2] == version[en[1]]:
+                popped.append(en)
+        for en in popped:
+            heapq.heappush(queue, en)
         # simultaneous events resolve in ascending boundary order
-        return min(group, key=lambda c: (c.boundary, c.robot, not c.pair), default=None)
+        return min((en[3] for en in popped), key=lambda c: (c.boundary, c.robot, not c.pair))
 
     # -- event application ----------------------------------------------
 
@@ -658,6 +644,7 @@ class Simulation:
                 val = 0.0 if idx == 0 else self.y[j]
                 self._pin(idx, val + new_r, t_change)
         self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
+        self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._converged_at = None
         self._recompute_e()
         self._rebuild_queue()

@@ -50,6 +50,11 @@ class FleetConfig:
             raise ValueError("a fleet needs at least 2 robots")
         if not (math.isfinite(self.L) and self.L > 0):
             raise ValueError(f"cycle length L must be finite and positive, got {self.L}")
+        ids = set()
+        for k, rb in enumerate(self.robots):
+            if rb.id in ids:
+                raise ValueError(f"robots[{k}]: duplicate robot id {rb.id}")
+            ids.add(rb.id)
         if self.free_length <= 0:
             raise StaticallyCoverableError(
                 f"L - 2*sum(r) = {self.free_length} <= 0: cycle is statically coverable"
@@ -118,36 +123,41 @@ class FleetScenario:
     changes: list[dict] = field(default_factory=list)
 
 
-def _number(doc, name: str, where: str, kind=float):
-    """doc[name] converted by kind, or a ValueError that names the field."""
+def _number(doc, name: str, where: str) -> float:
+    """doc[name] as a float, or a ValueError that names the field."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
     if name not in doc:
         raise ValueError(f"{where}: missing field '{name}'")
     try:
-        return kind(doc[name])
-    except (TypeError, ValueError):
+        return float(doc[name])
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: field '{name}' must be a number, got {doc[name]!r}") from None
+
+
+def _integer(doc, name: str, where: str) -> int:
+    """doc[name] as an int; a bool or a non-integral number is a ValueError
+    that names the field."""
+    x = _number(doc, name, where)
+    if isinstance(doc[name], bool) or not x.is_integer():
+        raise ValueError(f"{where}: field '{name}' must be an integer, got {doc[name]!r}")
+    return doc[name] if isinstance(doc[name], int) else int(x)
 
 
 def fleet_from_dict(doc: dict) -> FleetScenario:
     robots = []
-    ids = set()
     positions = []
     orientations = []
     have_state = True
     L = _number(doc, "L", "fleet")
     for k, entry in enumerate(doc["robots"]):
         where = f"robots[{k}]"
-        rb = RobotParams(id=_number(entry, "id", where, int), v=_number(entry, "v", where),
+        rb = RobotParams(id=_integer(entry, "id", where), v=_number(entry, "v", where),
                          r=_number(entry, "r", where))
-        if rb.id in ids:
-            raise ValueError(f"{where}: duplicate robot id {rb.id}")
-        ids.add(rb.id)
         robots.append(rb)
         if "p0" in entry and "o0" in entry:
             positions.append(_number(entry, "p0", where))
-            orientations.append(_number(entry, "o0", where, int))
+            orientations.append(_integer(entry, "o0", where))
         else:
             have_state = False
     cfg = FleetConfig(robots=tuple(robots), L=L)
@@ -164,9 +174,8 @@ def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
     """One scheduled parameter change: a known robot id, a finite time
     t >= 0, and new values v and r that pass the robot checks."""
     t = _number(ev, "t", f"events[{k}]")
-    if "robot" not in ev:
-        raise ValueError(f"events[{k}]: missing field 'robot'")
-    robot = next((rb for rb in cfg.robots if rb.id == ev["robot"]), None)
+    robot_id = _integer(ev, "robot", f"events[{k}]")
+    robot = next((rb for rb in cfg.robots if rb.id == robot_id), None)
     if robot is None:
         raise ValueError(f"events[{k}]: robot {ev['robot']!r} is not in the fleet")
     if not (math.isfinite(t) and t >= 0):
@@ -177,7 +186,7 @@ def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
                     r=robot.r if r is None else float(r))
     except ValueError as exc:
         raise ValueError(f"events[{k}]: {exc}") from None
-    return {**ev, "t": t}
+    return {**ev, "t": t, "robot": robot_id}
 
 
 def load_fleet_json(path) -> FleetScenario:

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .engine import Trace, _fmt
+from .engine import Trace
 
 PASS_REL_TOL = 0.01  # absorbs the asymptotic-convergence residual
 
@@ -178,7 +178,7 @@ def plot_data_rows(trace: Trace) -> list[str]:
         tail = history.get(j, [])
         wf = sum(tail[-n_bal:]) / n_bal if len(tail) >= n_bal else math.nan
         rows.append(
-            f"{ev.time:.9f},{ev.robot_a + 1},{_fmt(ev.e_a)},{_fmt(f)},{_fmt(wf)}"
+            f"{ev.time:.9f},{ev.robot_a + 1},{ev.e_a:.9f},{f:.9f},{wf:.9f}"
         )
     return rows
 

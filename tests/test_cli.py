@@ -97,6 +97,7 @@ class TestSimulate:
         ({"t": 100.0, "robot": 9, "v": 0.5}, "robot 9 is not in the fleet"),
         ({"t": 100.0, "robot": 2, "v": -1.0}, "speed v must be finite and positive"),
         ({"t": None, "robot": 2, "v": 0.5}, "field 't' must be a number, got None"),
+        ({"t": 100.0, "robot": True, "v": 0.5}, "field 'robot' must be an integer, got True"),
     ])
     def test_bad_scheduled_change_exits_2(self, fig3_fleet_file, tmp_path, capsys,
                                           event, message):
@@ -139,6 +140,21 @@ class TestSimulate:
         rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
         assert rc == 2
         assert "robots[3]: duplicate robot id 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("id", 1.9), ("id", True), ("o0", 1.7)])
+    def test_non_integral_id_or_orientation_exits_2(self, fig3_fleet_file, tmp_path, capsys,
+                                                    field, value):
+        # int() would truncate each of these to 1
+        doc = json.loads(fig3_fleet_file.read_text())
+        for rb, p0, o0 in zip(doc["robots"], [100.0, 400.0, 600.0, 820.0], [1, -1, 1, -1]):
+            rb.update(p0=p0, o0=o0)
+        doc["robots"][1][field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert (f"robots[1]: field '{field}' must be an integer, got {value!r}"
+                in capsys.readouterr().err)
 
     def test_change_breaking_a3_exits_2(self, tmp_path, capsys):
         # at t=4200 robot 2 patrols [100, 200]; r=45 puts its zone over y0

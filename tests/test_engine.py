@@ -380,16 +380,16 @@ def test_deadlock_unreachable_on_random_instances(rng):
 # -- the kinetic queue against a full scan ---------------------------------
 
 def scan_next_candidate(sim):
-    """Reference scheduler: every arrival and contact candidate recomputed
-    at sim.t; of those within TIME_EPS of the earliest, the lowest
-    (boundary, robot), arrivals first."""
+    """Reference scheduler: every arrival and contact candidate computed
+    afresh; of those within the simulation's tie tolerance of the
+    earliest, the lowest (boundary, robot), arrivals first."""
     cands = [sim._arrival_candidate(i) for i in range(sim.n)]
     cands += [sim._contact_candidate(j) for j in range(sim.n - 1)]
     cands = [c for c in cands if c is not None]
     if not cands:
         return None
     t_min = min(c.time for c in cands)
-    group = [c for c in cands if c.time <= t_min + TIME_EPS]
+    group = [c for c in cands if c.time <= t_min + sim.tie_eps]
     return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
 
 
@@ -558,16 +558,28 @@ def test_trace_bytes_per_event_independent_of_n():
 
 
 def test_near_simultaneous_events_resolve_by_boundary():
-    """Two discoveries 5e-10 s apart: within TIME_EPS, so the one at the
-    lower boundary goes first although it is the later one."""
-    sim = Simulation(make_fleet([1.0] * 4, [0.0] * 4, 100.0),
-                     [10.0, 12.000000001, 50.0, 52.0], [1, -1, 1, -1])
-    first = sim.step()
-    assert (first.kind, first.boundary) == ("discovery", 0)
-    assert first.time == pytest.approx(1.0 + 5e-10, abs=1e-13)
-    second = sim.step()
-    assert (second.kind, second.boundary) == ("discovery", 2)
-    assert second.time == first.time  # the clock never runs backwards
+    """Two discoveries half the tie tolerance TIME_EPS * L / sum(v) apart
+    are simultaneous, so the one at the lower boundary goes first although
+    it is the later one; one and a half tolerances apart, time decides."""
+    cfg = make_fleet([1.0] * 4, [0.0] * 4, 100.0)
+    tol = TIME_EPS * 100.0 / 4.0
+    for lag, order in ((0.5, (0, 2)), (1.5, (2, 0))):
+        # the pair at boundary 0 closes a gap of 2 + 2*lag*tol at speed 2
+        sim = Simulation(cfg, [10.0, 12.0 + 2.0 * lag * tol, 50.0, 52.0], [1, -1, 1, -1])
+        assert sim.tie_eps == tol
+        first, second = sim.step(), sim.step()
+        assert (first.kind, second.kind) == ("discovery", "discovery")
+        assert (first.boundary, second.boundary) == order
+        late = first if first.boundary == 0 else second
+        assert late.time == pytest.approx(1.0 + lag * tol, abs=1e-14)
+        assert second.time == max(first.time, late.time)  # the clock never runs backwards
+
+
+def test_tie_tolerance_follows_a_speed_change(fig3_fleet):
+    sim = Simulation(fig3_fleet, *random_initial_state(fig3_fleet, random.Random(6)))
+    assert sim.tie_eps == pytest.approx(TIME_EPS * 1000.0 / 1.6, rel=1e-12)
+    sim.apply_parameter_change(robot_id=2, v=2.1)
+    assert sim.tie_eps == pytest.approx(TIME_EPS * 1000.0 / 3.0, rel=1e-12)
 
 
 def test_speed_up_reschedules_the_arrival(fig3_fleet):
@@ -589,3 +601,79 @@ def test_run_until_never_moves_the_clock_back(fig3_fleet):
     assert sim.t == 5000.0
     sim.run_until(t_end=1000.0)
     assert sim.t == 5000.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_paused_run_matches_uninterrupted(eight_robot_fleet, seed):
+    """Pausing a run at 36 arbitrary times with run_until(t_end=...) and
+    then continuing it gives the uninterrupted trace bit for bit: no
+    candidate time depends on where the clock stopped."""
+    pos, ori = random_initial_state(eight_robot_fleet, random.Random(seed))
+    whole = Simulation(eight_robot_fleet, pos, ori)
+    whole.run_until(max_events=6000)
+    rng = random.Random(1000 + seed)
+    paused = Simulation(eight_robot_fleet, pos, ori)
+    for t in sorted(rng.uniform(0.0, whole.t) for _ in range(36)):
+        paused.run_until(t_end=t)
+        assert paused.t == t
+    paused.run_until(max_events=6000 - len(paused.trace.events))
+    assert list(map(repr, paused.trace.events)) == list(map(repr, whole.trace.events))
+
+
+# -- metamorphic: the trace does not depend on the units ---------------------
+
+@st.composite
+def random_fleets(draw):
+    n = draw(st.integers(2, 10))
+    speeds = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    # scaling a subnormal length by 2**m rounds it; no fleet has one
+    radii = draw(st.lists(st.floats(0.0, 20.0, allow_subnormal=False), min_size=n, max_size=n))
+    if draw(st.booleans()):  # identical robots: exact ties between events
+        speeds, radii = [speeds[0]] * n, [radii[0]] * n
+    L = 2.0 * sum(radii) + draw(st.floats(10.0, 1000.0))
+    pos, ori = random_initial_state(make_fleet(speeds, radii, L),
+                                    random.Random(draw(st.integers(0, 2**32 - 1))),
+                                    n_minus=draw(st.integers(1, n - 1)))
+    return speeds, radii, L, pos, ori
+
+
+def run_events(speeds, radii, L, pos, ori, events=2000):
+    sim = Simulation(make_fleet(speeds, radii, L), pos, ori)
+    sim.run_until(max_events=events)
+    return sim.trace.events
+
+
+def labels(events):
+    return [(ev.kind, ev.robot_a, ev.robot_b, ev.boundary, ev.updated) for ev in events]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_fleets(), st.integers(-10, 20))
+def test_scaling_lengths_scales_times_exactly(fleet, m):
+    """Every length times 2**m: the same labelled events, and every time,
+    boundary value and traversing time times 2**m bit for bit."""
+    speeds, radii, L, pos, ori = fleet
+    k = 2.0 ** m
+    base = run_events(speeds, radii, L, pos, ori)
+    scaled = run_events(speeds, [x * k for x in radii], L * k, [x * k for x in pos], ori)
+    assert labels(scaled) == labels(base)
+    for field in ("time", "y_value", "e_a", "e_b"):
+        assert bits(getattr(ev, field) for ev in scaled) == \
+            bits(getattr(ev, field) * k for ev in base), field
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_fleets(), st.integers(-10, 20))
+def test_scaling_speeds_divides_times_exactly(fleet, m):
+    """Every speed times 2**m: the same labelled events and boundary
+    values, and every time and traversing time divided by 2**m bit for
+    bit."""
+    speeds, radii, L, pos, ori = fleet
+    k = 2.0 ** m
+    base = run_events(speeds, radii, L, pos, ori)
+    scaled = run_events([v * k for v in speeds], radii, L, pos, ori)
+    assert labels(scaled) == labels(base)
+    assert bits(ev.y_value for ev in scaled) == bits(ev.y_value for ev in base)
+    for field in ("time", "e_a", "e_b"):
+        assert bits(getattr(ev, field) for ev in scaled) == \
+            bits(getattr(ev, field) / k for ev in base), field

@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetConfig(robots=(RobotParams(id=1, v=1.0, r=0.0),), L=10.0)
 
+    def test_duplicate_ids_rejected(self):
+        # with ids 1,2,3,2 a change to robot 2 reached the first robot with
+        # the id in the engine and the last in the trace's replay
+        robots = [RobotParams(id=i, v=v, r=r) for i, v, r in
+                  zip([1, 2, 3, 2], [0.3, 0.7, 0.3, 0.3], [50.0, 50.0, 50.0, 150.0])]
+        with pytest.raises(ValueError, match="duplicate robot id 2"):
+            FleetConfig(robots=tuple(robots), L=1000.0)
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):

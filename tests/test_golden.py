@@ -49,29 +49,29 @@ CASES = {
 
 GOLDEN = {
     "n64-events3000": {
-        "trace.csv": "40cbe8d29865d48fa9be0d5f1bcce97d5f40c0b8f8181bdc58069c79ad66dcca",
+        "trace.csv": "8841d25e827cb0181c9dd2716528b5fdc72c452edba748b1ef1a47ccbc4ccacf",
         "report.json": "2aeabbbc72eb07bd56e414d187086ff687887bfa479d37ac62ec0e51a0c03876",
-        "plot_data.csv": "7582fa0f6085a27aca6e0bebaa391259af1b5c46836ae1b4af0e4caea02c7e23",
+        "plot_data.csv": "e36cf428db8dac6c6582d026fb50c78cc8fd5cde6bc4563419a477e095c9c1bc",
     },
     "n8-seed0": {
-        "trace.csv": "1659dc9c0006ab89903b6e4650e518dcc5cfe0165b3032a85b3669a0eefcf0a3",
-        "report.json": "eb699a2db316272bc5f0a83478f390add3b7528cbf0436c1fec5bf640d9987d3",
-        "plot_data.csv": "3251d66906f10a69405481ee42fb03fce305187f8865479dd4b454b612693441",
+        "trace.csv": "33f52d5e555466e5a1894d707df6e879622196b5a11e88547768ddd6d4dc9002",
+        "report.json": "01d8451344e5b76756244def69d39d49e830f0e74190837b3a63c49bba7482a4",
+        "plot_data.csv": "b56e214e78506db461946626248bb1866142521f5cdb410823024290d5acdef3",
     },
     "n8-seed1": {
-        "trace.csv": "5fd799688be84143e36befeb16cdedff82e3ad4b6e3f8f360158ec14fe4a5ed6",
-        "report.json": "2937853502dc68fec198409fbdd545d3d4117a216ebe4ae51b27eb98ee9a6df3",
-        "plot_data.csv": "83495f727cde8a4ae92dcf83d2e6298d95bb473cdc77f9361ab16c13b81203eb",
+        "trace.csv": "94ed93c40f337088c78cf637d83efb29f3f3f25fbb8ca44ce53efeef32cb0894",
+        "report.json": "6d40e1dbdfdb3b266c93e39bb822c58b60ab40edb96396c89e08e401ce80f503",
+        "plot_data.csv": "ade0365781365dc38b9376514a9ea128f96f16ea5a71ca746050c06f4cbf2ce4",
     },
     "n8-seed2": {
-        "trace.csv": "6337ce5807ecebe93d3cca98f4e51e4b118aa5d378214c1d5df2705ae358522f",
-        "report.json": "1bb05efcc33a02bd45dc5297b24ad6e595caf0090a1406a98c4a49b7528daec4",
-        "plot_data.csv": "454275ae38ddb2838ba036f2d1b7234493ee713902e7198f8ba86b0866cc30f7",
+        "trace.csv": "09102538e35aaac0a109cb52b21d9965921f1f9044bcc31220aa5cce3be13690",
+        "report.json": "b5864d29127536bdd8a526283f5216f91033b0e8df2260bf2be9f75db538b894",
+        "plot_data.csv": "2eade0218714768d8eec2495185891520fd23e43949ea060802523ea08b69fed",
     },
     "n8-two-changes": {
-        "trace.csv": "cea5b3320d2657b476d8afa4d710e87dadd46b3b02232fc9061aea2613c1ccb2",
-        "report.json": "85a8711da77efd86153da1bbbaa212626c61c5644cd82f8b8b861bf7db83b14a",
-        "plot_data.csv": "4b5f2afde12ffa3c06d55029da3120ed3a1dd54349a54bb2d5ee5ab8abfb20b0",
+        "trace.csv": "8c61fca9171e7be241a2fc2cf7628fc344818483424007f9662d155284f94eca",
+        "report.json": "c64cb3c05e3417ffe8a6f4b0ddf4dcab8336b7c236bdf6895448921a063ff8e7",
+        "plot_data.csv": "117e897363e351a30d5d8acc742693f70c4f0cf510cbdbe9acdef33ceb6396e7",
     },
 }
 
