@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -49,7 +50,16 @@ def cmd_tour(args) -> int:
     return EXIT_OK
 
 
+def _bad_flag(flag: str, message: str) -> int:
+    print(f"error: {flag} {message}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def cmd_simulate(args) -> int:
+    if args.until is not None and not 0.0 <= args.until < math.inf:
+        return _bad_flag("--until", f"must be a finite time >= 0, got {args.until}")
+    if args.events is not None and args.events < 0:
+        return _bad_flag("--events", f"must be >= 0, got {args.events}")
     try:
         spec = load_fleet_json(args.fleet)
     except FileNotFoundError:
@@ -125,15 +135,28 @@ def cmd_sweep(args) -> int:
     if (args.vary_n is None) == (args.factor is None):
         print("error: pass exactly one of --vary-n or --factor", file=sys.stderr)
         return EXIT_USAGE
+    if not 0.0 < args.v < math.inf:
+        return _bad_flag("--v", f"must be a finite speed > 0, got {args.v}")
+    if not 0.0 <= args.r < math.inf:
+        return _bad_flag("--r", f"must be a finite radius >= 0, got {args.r}")
+    if not 0.0 < args.L < math.inf:
+        return _bad_flag("--L", f"must be a finite length > 0, got {args.L}")
     measure = not args.closed_form_only
+    flag, spec = ("--vary-n", args.vary_n) if args.vary_n is not None else ("--factor", args.factor)
+    try:
+        values = _parse_range(spec, integral=args.vary_n is not None)
+    except ValueError:
+        return _bad_flag(flag, f"must be a value, a comma list or lo..hi, got {spec!r}")
     if args.vary_n is not None:
-        values = [int(x) for x in _parse_range(args.vary_n, integral=True)]
-        rows = [verify.sweep_fleet_size([n], v=args.v, r=args.r, L=args.L,
+        if not all(x.is_integer() and x >= 2 for x in values):
+            return _bad_flag(flag, f"must list integer fleet sizes >= 2, got {spec!r}")
+        rows = [verify.sweep_fleet_size([int(n)], v=args.v, r=args.r, L=args.L,
                                         seed=args.seed, measure=measure)[0]
                 for n in values]
         label = "n"
     else:
-        values = _parse_range(args.factor, integral=False)
+        if not all(0.0 < f < math.inf for f in values):
+            return _bad_flag(flag, f"must list finite factors > 0, got {spec!r}")
         rows = [verify.sweep_capability_factor([f], v=args.v, r=args.r, L=args.L,
                                                seed=args.seed, measure=measure)[0]
                 for f in values]
@@ -207,6 +230,3 @@ def main(argv=None) -> int:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-
-if __name__ == "__main__":
-    sys.exit(main())

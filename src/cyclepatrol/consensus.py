@@ -125,7 +125,7 @@ def replay_trace(trace, rtol: float = 1e-9):
     speeds = None
     max_err = 0.0
     checked = 0
-    for ev, _, e_engine, v in trace.replay():
+    for ev, _, e_engine, v, _, _ in trace.replay():
         if v is not speeds:  # the first event, or changes applied before ev
             speeds, e = v, None
         if e is None:

@@ -48,9 +48,9 @@ that count with 0.
 
 The trace is a delta log: each event records only what it changed (the
 boundary value, the participants' traversing times and kinematic states),
-so its size does not grow with n.  ``Trace.replay()`` rebuilds the full y
-and e vectors and the speeds in force after each event from those records
-and the logged parameter changes.
+so its size does not grow with n.  ``Trace.replay()`` rebuilds the whole
+state after each event from those records and the logged parameter
+changes: y, e, speeds, radii and every robot's pinned kinematic state.
 """
 
 from __future__ import annotations
@@ -132,24 +132,26 @@ class Trace:
         return self.fleet.n
 
     def replay(self, until: float | None = None):
-        """Yield ``(ev, y, e, v)`` after each event, stopping before the
-        first event later than ``until``.
+        """Yield ``(ev, y, e, v, r, kin)`` after each event, stopping
+        before the first event later than ``until``, bit for bit the state
+        the engine held after that event.
 
-        y is the boundary vector (nan while unknown, y[n-1] = L) and e the
-        traversing times, bit-identical to what the engine held after that
-        event; v is the tuple of speeds in force at the event.  The
-        parameter changes logged before an event are applied ahead of it,
-        with all of e recomputed, as the engine does, and v is then a new
-        tuple: ``v is not`` the previous event's v exactly at the events
-        where e was recomputed.  y and e are updated in place as the
-        cursor moves: copy what you keep.
+        y is the boundary vector (nan while unknown, y[n-1] = L), e the
+        traversing times, v and r the speeds and radii in force, and kin[i]
+        robot i's state ``(t, p, o, a)`` pinned at its last event.  Changes
+        logged before an event apply ahead of it as in the engine: one that
+        is not a no-op re-pins every robot at its time with the old speeds,
+        and a parked changed robot at its contact with the new radius.  v
+        and r are new tuples exactly at the events with changes before
+        them.  y, e and kin change in place: copy what you keep.
         """
         n = self.n
         v = [rb.v for rb in self.fleet.robots]
-        speeds = tuple(v)
         r = [rb.r for rb in self.fleet.robots]
+        speeds, radii = tuple(v), tuple(r)
         index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
         y = [NAN] * (n - 1) + [self.fleet.L]
+        kin = [(0.0, p, o, 1) for p, o in zip(self.initial_positions, self.initial_orientations)]
 
         def traversing(i: int) -> float:
             # the engine's formula; nan propagates from an unknown boundary
@@ -163,18 +165,30 @@ class Trace:
                 return
             applied = c
             while c < len(changes) and changes[c]["events"] <= k:
-                i = index[changes[c]["robot_id"]]
-                v[i], r[i] = changes[c]["v"], changes[c]["r"]
+                ch = changes[c]
                 c += 1
+                i = index[ch["robot_id"]]
+                if ch["v"] == v[i] and ch["r"] == r[i]:
+                    continue  # a no-op change leaves the engine's state untouched
+                t = ch["t"]
+                kin[:] = [(t, p + vm * a * o * (t - tp), o, a)
+                          for vm, (tp, p, o, a) in zip(v, kin)]
+                v[i], r[i] = ch["v"], ch["r"]
+                _, p, o, a = kin[i]
+                if not a:  # parked at its right boundary if o > 0, else its left
+                    p = y[i] - r[i] if o > 0 else (0.0 if i == 0 else y[i - 1]) + r[i]
+                    kin[i] = (t, p, o, a)
             if c > applied:
-                speeds = tuple(v)
+                speeds, radii = tuple(v), tuple(r)
                 e[:] = [traversing(i) for i in range(n)]
             if ev.kind in ("discovery", "catch") or ev.updated:
                 j = ev.boundary
                 y[j] = ev.y_value
                 e[j] = traversing(j)
                 e[j + 1] = traversing(j + 1)
-            yield ev, y, e, speeds
+            for i, p, o, a in ev.states:
+                kin[i] = (ev.time, p, o, a)
+            yield ev, y, e, speeds, radii, kin
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -118,7 +118,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         return report
 
     # e after the last event: a change logged after it does not enter
-    for _, _, final_e, _ in trace.replay():
+    for _, _, final_e, _, _, _ in trace.replay():
         pass
     dev = max(abs(e - t_star) for e in final_e) / t_star
     report.verdicts.append(
@@ -188,43 +188,3 @@ def write_plot_data(trace: Trace, path) -> None:
         fh.write("time,robot,e_i,f_i,windowed_f_i\n")
         for row in plot_data_rows(trace):
             fh.write(row + "\n")
-
-
-def point_passes(trace: Trace, point: float) -> list[tuple[float, int, int]]:
-    """(time, robot, orientation) every time a robot's position crosses the
-    point, reconstructed from the piecewise-linear trajectories."""
-    n = trace.n
-    speeds = [rb.v for rb in trace.fleet.robots]
-    segs: dict[int, list[tuple[float, float, int, int]]] = {i: [] for i in range(n)}
-    cur = {
-        i: (0.0, trace.initial_positions[i], trace.initial_orientations[i], 1)
-        for i in range(n)
-    }
-    for ev in trace.events:
-        for (i, p, o, a) in ev.states:
-            t0, p0, o0, a0 = cur[i]
-            segs[i].append((t0, ev.time, p0, speeds[i] * a0 * o0))
-            cur[i] = (ev.time, p, o, a)
-    passes = []
-    for i in range(n):
-        for (t0, t1, p0, u) in segs[i]:
-            if u == 0 or t1 <= t0:
-                continue
-            tc = t0 + (point - p0) / u
-            if t0 < tc <= t1:
-                passes.append((tc, i, 1 if u > 0 else -1))
-    passes.sort()
-    return passes
-
-
-def point_revisit_times(trace: Trace, point: float) -> list[float]:
-    """Intervals between same-robot, same-orientation passes over a point,
-    in chronological order of the completing pass."""
-    by_key: dict[tuple[int, int], list[float]] = {}
-    for t, i, o in point_passes(trace, point):
-        by_key.setdefault((i, o), []).append(t)
-    out = []
-    for ts in by_key.values():
-        out.extend((b, b - a) for a, b in zip(ts, ts[1:]))
-    out.sort()
-    return [d for _, d in out]

@@ -43,20 +43,19 @@ class MeetingSet:
 
 
 def _state_at(trace: Trace, t0: float):
-    """Boundary values, traversing times and each robot's kinematic state
-    ({"p", "o", "a"}) at t0, from one replay of the events up to t0."""
-    last = [(0.0, p, o, 1)
-            for p, o in zip(trace.initial_positions, trace.initial_orientations)]
-    y = e = None
-    for ev, y, e, _ in trace.replay(until=t0):
-        for (i, p, o, a) in ev.states:
-            last[i] = (ev.time, p, o, a)
-    if y is None:
+    """Boundary values, traversing times, speeds, radii and each robot's
+    kinematic state ({"p", "o", "a"}) at t0, from the replay cursor after
+    the last event up to t0."""
+    done, step = 0, None
+    for done, step in enumerate(trace.replay(until=t0), 1):
+        pass
+    if step is None:
         raise NotConvergedError("no events before t0")
-    speeds = [rb.v for rb in trace.fleet.robots]
-    kin = [{"p": p + v * a * o * (t0 - t), "o": o, "a": a}
-           for v, (t, p, o, a) in zip(speeds, last)]
-    return list(y), list(e), kin
+    if any(ch["events"] >= done and ch["t"] <= t0 for ch in trace.parameter_changes):
+        raise NotConvergedError("a parameter change falls between the last event and t0")
+    _, y, e, v, r, kin = step
+    return list(y), list(e), v, r, [{"p": p + vi * a * o * (t0 - t), "o": o, "a": a}
+                                    for vi, (t, p, o, a) in zip(v, kin)]
 
 
 def choose_t0(trace: Trace, search_rounds: float = 4.0,
@@ -96,14 +95,12 @@ def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
         raise NotConvergedError("trace never reached the convergence criterion")
     if t0 is None:
         t0 = choose_t0(trace, after=after)
-    y_vals, e_vals, kin = _state_at(trace, t0)
+    y_vals, e_vals, speeds, radii, kin = _state_at(trace, t0)
     dev = max(abs(e - trace.t_star) for e in e_vals) / trace.t_star
     if dev > tolerance:
         raise NotConvergedError(f"deviation {dev} above tolerance {tolerance} at t0")
     t_round = statistics.median(e_vals)
     n = trace.n
-    radii = [rb.r for rb in trace.fleet.robots]
-    speeds = [rb.v for rb in trace.fleet.robots]
     te, pos, ori = [], [], []
     for i in range(n):
         s = kin[i]
@@ -232,14 +229,12 @@ def compare_with_engine(trace: Trace, n_rounds: int = 100,
     state = lift_from_trace(trace, t0=t0, after=after)
     t_end = state.t0 + n_rounds * state.t_round
     model = []  # (time, boundary, left contact, right contact)
-    for _ in range(n_rounds):
-        nxt, ms = step_round(state)
+    for ms in run_rounds(state, n_rounds)[1]:
         for j, m in ms.meetings:
             left, right = j, (j + 1) % state.n
             bound = trace.fleet.L if j == state.n - 1 else state.y[j]
             model.append((m, j, bound - state.radii[left],
                           (0.0 if right == 0 else bound) + state.radii[right]))
-        state = nxt
     engine = []
     for ev in trace.events:
         if ev.kind == "meeting" and state.t0 < ev.time <= t_end:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -358,6 +359,8 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
     worst_dp = 0.0
     mismatches = []
     bad_counts = 0
+    balanced = 0
+    unsynced = []
     for k in range(instances):
         n = rng.randint(3, 10)
         cfg = random_fleet(rng, n=n)
@@ -378,26 +381,26 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
             continue
         # interlaced regime: exactly n_bal meetings per round, and per full
         # n-round window each boundary hosts exactly n_bal of them
-        n_bal = min(sim.trace.initial_orientations.count(1),
-                    sim.trace.initial_orientations.count(-1))
-        st = state
-        counts = []
-        per_boundary: dict[int, int] = {}
+        n_bal = min(state.ori.count(1), state.ori.count(-1))
         full_windows = n_rounds // n
-        for _ in range(full_windows * n):
-            st, ms = rounds.step_round(st)
-            counts.append(len(ms.meetings))
-            for j, _t in ms.meetings:
-                per_boundary[j] = per_boundary.get(j, 0) + 1
-        if any(c != n_bal for c in counts):
+        states, sets = rounds.run_rounds(state, full_windows * n)
+        per_boundary = Counter(j for ms in sets for j, _t in ms.meetings)
+        if any(len(ms.meetings) != n_bal for ms in sets):
             bad_counts += 1
-        if any(per_boundary.get(j, 0) != full_windows * n_bal for j in range(n)):
+        if any(per_boundary[j] != full_windows * n_bal for j in range(n)):
             bad_counts += 1
+        if 2 * n_bal == n:
+            balanced += 1
+            sync = rounds.check_synchronization(states)
+            if not sync:
+                unsynced.append(f"instance {k}: {sync.first_violation or 'never interlaced'}")
     res.add("engine_equivalence", not mismatches,
             "; ".join(mismatches) or
             f"{instances} instances, max dt {worst_dt:.3g}s, max dp {worst_dp:.3g}m")
     res.add("interlaced_meeting_counts", bad_counts == 0,
             f"{bad_counts} instances off")
+    res.add("balanced_synchronize_within_n_over_2", not unsynced,
+            "; ".join(unsynced) or f"{balanced} balanced instances")
     return res
 
 

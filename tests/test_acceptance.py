@@ -190,6 +190,8 @@ def test_criterion_6_consensus_oracle():
 def test_criterion_7_model_equivalence():
     res = verify.rounds_suite(instances=20, n_rounds=100, seed=23, tol=1e-6)
     assert res.ok, res.summary_lines()
+    assert res.checks[2] == ("balanced_synchronize_within_n_over_2", True,
+                             "2 balanced instances")
     _report(7, "model equivalence", res.checks[0][2])
 
 

@@ -1,8 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cyclepatrol import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args, timeout=60):
+    """``python -m cyclepatrol *args`` from this source tree, in a fresh
+    interpreter that is killed after ``timeout`` seconds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "cyclepatrol", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture
@@ -62,6 +77,19 @@ class TestSimulate:
         assert (out / "trace.csv").exists()
         stdout = capsys.readouterr().out
         assert "t_star = 250" in stdout
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--until", "nan"), ("--until", "inf"), ("--until", "-1"), ("--events", "-5"),
+    ])
+    def test_bad_run_length_exits_2(self, fig3_fleet_file, tmp_path, flag, value):
+        # a subprocess with a timeout: `--until nan` used to run until memory
+        # ran out, since no event time compares later than nan
+        out = tmp_path / "run"
+        proc = run_module("simulate", str(fig3_fleet_file), flag, value, "-o", str(out),
+                          timeout=30)
+        assert proc.returncode == 2
+        assert f"error: {flag} must be" in proc.stderr
+        assert not out.exists()
 
     def test_a2_violating_fleet_exits_2(self, tmp_path, capsys):
         doc = {"L": 1000.0, "robots": [
@@ -226,6 +254,26 @@ class TestSweep:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--vary-n", "1..3"], "--vary-n"),
+        (["--factor", "abc"], "--factor"),
+        (["--vary-n", "2..4", "--L", "-5"], "--L"),
+        (["--factor", "1", "--v", "0"], "--v"),
+        (["--factor", "1", "--r", "nan"], "--r"),
+    ])
+    def test_bad_sweep_flag_exits_2(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", *args, "--closed-form-only", "-o", str(out)])
+        assert rc == 2
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_exactly_one_mode(self, tmp_path):
         rc = cli.main(["sweep", "-o", str(tmp_path / "s.csv")])
         assert rc == 1
+
+
+def test_module_entry_point():
+    proc = run_module("verify", "--suite", "rounds", "--instances", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] rounds: balanced_synchronize_within_n_over_2" in proc.stdout

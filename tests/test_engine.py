@@ -427,6 +427,7 @@ def random_runs(draw):
         st.tuples(st.just("schedule_v"), st.floats(0.0, 1.0), robot, st.floats(0.3, 3.0)),
         st.tuples(st.just("schedule_noop"), st.floats(0.0, 1.0), robot),
         st.tuples(st.just("shrink_r"), robot, st.floats(0.2, 1.0)),
+        st.tuples(st.just("shrink_parked"), robot, st.floats(0.2, 0.9)),
     ), min_size=1, max_size=30))
     return cfg, pos, ori, ops
 
@@ -446,8 +447,10 @@ def drive(sim, ops, advance):
             sim.schedule_parameter_change(sim.t + dt * sim.t_star, i + 1, v=sim.v[i] * factor)
         elif kind == "schedule_noop":
             sim.schedule_parameter_change(sim.t + op[1] * sim.t_star, op[2] + 1)
-        else:
+        else:  # shrink_r, or shrink_parked: the first parked robot from i on
             _, i, factor = op
+            if kind == "shrink_parked":
+                i = next((k % sim.n for k in range(i, i + sim.n) if not sim.act[k % sim.n]), i)
             advance(lambda: sim.apply_parameter_change(i + 1, r=sim.r[i] * factor))
 
 
@@ -482,14 +485,15 @@ def bits(xs):
     return ["nan" if math.isnan(x) else x.hex() for x in xs]
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_runs())
 def test_replay_cursor_matches_engine_state(run):
     """After every event, through scheduled speed and no-op changes and
-    immediate radius shrinks (logged at the clock of the last event), the
-    trace's replay cursor holds the engine's y, e and speeds bit for bit,
-    and yields a new speeds tuple exactly at the first event and the
-    events with logged changes before them."""
+    immediate radius shrinks, of parked robots too (logged at the clock of
+    the last event), the trace's replay cursor holds the engine's y, e,
+    speeds, radii and every robot's pinned state (t_pin, p_pin, o, act)
+    bit for bit, and yields new speeds and radii tuples exactly at the
+    first event and the events with logged changes before them."""
     cfg, pos, ori, ops = run
     sim = Simulation(cfg, pos, ori)
     held = []
@@ -498,37 +502,41 @@ def test_replay_cursor_matches_engine_state(run):
         events = len(sim.trace.events)
         call()
         if len(sim.trace.events) > events:
-            held.append((bits(sim._y_nan), bits(sim.e_values()), tuple(sim.v)))
+            kin = [(t.hex(), p.hex(), o, a)
+                   for t, p, o, a in zip(sim.t_pin, sim.p_pin, sim.o, sim.act)]
+            held.append((bits(sim._y_nan), bits(sim.e_values()), tuple(sim.v),
+                         tuple(sim.r), kin))
 
     drive(sim, ops, advance)
     replayed = []
     renewed = []
-    prev = None
-    for _, y, e, v in sim.trace.replay():
-        replayed.append((bits(y), bits(e), v))
-        renewed.append(v is not prev)
-        prev = v
+    prev = (None, None)
+    for _, y, e, v, r, kin in sim.trace.replay():
+        replayed.append((bits(y), bits(e), v, r,
+                         [(t.hex(), p.hex(), o, a) for t, p, o, a in kin]))
+        renewed.append((v is not prev[0], r is not prev[1]))
+        prev = (v, r)
     assert replayed == held
     changed_at = {ch["events"] for ch in sim.trace.parameter_changes}
-    assert renewed == [k == 0 or k in changed_at for k in range(len(held))]
+    assert renewed == [(k == 0 or k in changed_at,) * 2 for k in range(len(held))]
 
 
 def test_replay_until_stops_before_later_events(fig3_fleet):
-    """The cursor leaves y and e as they were after the last event up to
-    `until`: the first later event is not applied."""
+    """The cursor leaves y, e and kin as they were after the last event
+    up to `until`: the first later event is not applied."""
     pos, ori = random_initial_state(fig3_fleet, random.Random(3))
     sim = Simulation(fig3_fleet, pos, ori)
     sim.run_until(max_events=300)
     t_cut = sim.trace.events[150].time
     kept = [ev for ev in sim.trace.events if ev.time <= t_cut]
     seen = []
-    for ev, y, e, _ in sim.trace.replay(until=t_cut):
+    for ev, y, e, _, _, kin in sim.trace.replay(until=t_cut):
         seen.append(ev)
     full = sim.trace.replay()
     for _ in kept:
-        _, y_ref, e_ref, _ = next(full)
+        _, y_ref, e_ref, _, _, kin_ref = next(full)
     assert seen == kept
-    assert (bits(y), bits(e)) == (bits(y_ref), bits(e_ref))
+    assert (bits(y), bits(e), kin) == (bits(y_ref), bits(e_ref), kin_ref)
 
 
 def trace_bytes_per_event(n, events=1500):

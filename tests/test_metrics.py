@@ -7,7 +7,6 @@ from cyclepatrol import metrics
 from cyclepatrol.engine import Simulation, random_initial_state
 from cyclepatrol.metrics import (
     inter_meeting_times,
-    point_revisit_times,
     theorem_verdicts,
     windowed_revisit,
 )
@@ -147,15 +146,3 @@ class TestPlotData:
         metrics.write_plot_data(sim.trace, p)
         head = p.read_text().splitlines()[0]
         assert head == "time,robot,e_i,f_i,windowed_f_i"
-
-
-class TestPointRevisit:
-    def test_steady_state_point_revisit_near_2_t_star(self, fig3_fleet):
-        sim = converged_simulation(fig3_fleet, seed=21, n_minus=2,
-                                   rtol=1e-10, tail_rounds=24.0)
-        # a point well inside the first goal region (owner: robot 1)
-        revisits = point_revisit_times(sim.trace, 100.0)
-        tail = revisits[-6:]
-        assert tail
-        for r in tail:
-            assert r == pytest.approx(500.0, rel=0.02)

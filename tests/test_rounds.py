@@ -146,7 +146,7 @@ class TestLift:
         sim = converged_sim
         after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
         t0 = rounds.choose_t0(sim.trace, after=after)
-        _, _, snap_states = rounds._state_at(sim.trace, t0)
+        *_, snap_states = rounds._state_at(sim.trace, t0)
         st = lift_from_trace(sim.trace, t0=t0)
         for i, s in enumerate(snap_states):
             if s["a"] == 0:
@@ -160,3 +160,43 @@ class TestLift:
         rep = compare_with_engine(sim.trace, n_rounds=100, tol=1e-6, t0=st.t0)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert rep.model_meetings == rep.engine_meetings == 400
+
+
+class TestLiftAcrossChanges:
+    def test_positions_after_a_speed_change(self, fig3_fleet):
+        """Halfway to the next event after a speed change, the positions
+        rebuilt from the trace are the engine's.  Before the cursor
+        re-pinned at changes, robot 2 was put at 400.64 (engine: 342.15)."""
+        sim = Simulation(fig3_fleet, *random_initial_state(fig3_fleet, random.Random(2)))
+        sim.schedule_parameter_change(5000.0, 2, v=0.35)
+        sim.run_until(t_end=5000.0)
+        sim.run_until(max_events=1)
+        t = 0.5 * (sim.trace.events[-1].time + sim.next_candidate().time)
+        kin = rounds._state_at(sim.trace, t)[-1]
+        assert [s["p"] for s in kin] == [sim.position(i, t) for i in range(sim.n)]
+
+    def test_change_after_the_last_event_rejected(self, fig3_fleet):
+        sim = Simulation(fig3_fleet, *random_initial_state(fig3_fleet, random.Random(2)))
+        sim.run_until(max_events=50)
+        sim.apply_parameter_change(2, v=0.35)
+        with pytest.raises(NotConvergedError, match="parameter change"):
+            rounds._state_at(sim.trace, sim.t + 1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_engine_equivalence_after_two_changes(self, eight_robot_fleet, seed):
+        """The n=8 fleet with robot 5 slowed at t=3000 and robot 2's zone
+        narrowed at t=9000: the model lifted after both changes matches the
+        engine over 100 rounds.  With the initial radii the lift was off
+        by 7.5 m, the old radius 20 minus the new 12.5."""
+        sim = Simulation(eight_robot_fleet,
+                         *random_initial_state(eight_robot_fleet, random.Random(seed)))
+        sim.schedule_parameter_change(3000.0, 5, v=0.35)
+        sim.schedule_parameter_change(9000.0, 2, r=12.5)
+        sim.run_until(t_end=9000.0)
+        run_to_deep_convergence(sim, rtol=1e-11)
+        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
+        st = lift_from_trace(sim.trace, after=after)
+        sim.run_until(t_end=st.t0 + 102 * st.t_round)
+        rep = compare_with_engine(sim.trace, n_rounds=100, tol=1e-6, t0=st.t0)
+        assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
+        assert st.radii[1] == 12.5
