@@ -104,16 +104,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.ALL_SUITES) if args.suite == "all" else [args.suite]
-    overrides = {
-        "consensus": {"n_fleets": args.fleets},
-        "words": {"random_samples": args.samples},
-        "rounds": {"instances": args.instances},
-        "conservation": {"total_events": args.conservation_events},
+    # suite -> (flag, suite parameter, value or None for the suite's default)
+    sizes = {
+        "consensus": ("--fleets", "n_fleets", args.fleets),
+        "words": ("--samples", "random_samples", args.samples),
+        "rounds": ("--instances", "instances", args.instances),
+        "conservation": ("--conservation-events", "total_events", args.conservation_events),
     }
+    for flag, _, value in sizes.values():
+        if value is not None and value < 1:
+            return _bad_flag(flag, f"must be >= 1, got {value}")
     ok = True
     for name in names:
-        result = verify.ALL_SUITES[name](
-            **{k: v for k, v in overrides[name].items() if v})
+        _, param, value = sizes[name]
+        result = verify.ALL_SUITES[name](**({} if value is None else {param: value}))
         for line in result.summary_lines():
             print(line)
         ok = ok and result.ok

@@ -52,6 +52,7 @@ class SpectrumReport:
     product_radius: float
     primitive: bool
     violations: list[str]
+    second_modulus: float  # |lambda_2| of the sweep product: its per-sweep contraction
 
 
 def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
@@ -67,7 +68,8 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
     product = np.eye(m.n)
     for i in range(m.n - 1):
         average_link(product, v, i)
-    radius = max(abs(np.linalg.eigvals(product)))
+    moduli = sorted(abs(np.linalg.eigvals(product)), reverse=True)
+    radius = moduli[0]
     if radius > 1.0 + atol:
         violations.append(f"product spectral radius {radius} exceeds 1")
     primitive = bool(np.all(np.linalg.matrix_power(product, m.n) > 0))
@@ -78,6 +80,7 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
         product_radius=float(radius),
         primitive=primitive,
         violations=violations,
+        second_modulus=float(moduli[1]),
     )
 
 

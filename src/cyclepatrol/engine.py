@@ -30,11 +30,20 @@ time is computed once, when its key is queued, from the state pinned at
 the participants' last events, and stays exact until an event changes one
 of its inputs.  A binary heap holds one entry per key (a robot's arrival
 or an inner boundary's contact), ordered by that time and stamped with a
-per-key version.  An event at boundary j re-queues only the arrivals of
-robots j, j+1 and the open contacts j-1..j+1, whose inputs it changed;
-superseded entries become stale and are dropped when popped, or by
-compacting the heap once stale entries outnumber live ones.  A parameter
-change re-pins every robot and rebuilds the queue.
+per-key version.  Choosing the next event peeks: when neither child of
+the heap root lies within the tie window, the root is the event and
+nothing is popped.  An event re-queues only the keys whose inputs it
+changed.  A robot that arrives and parks re-queues its own arrival (it
+has none while parked) and its open contacts, whose closing speed its
+stop changed; its partner's arrival is left alone.  A meeting, discovery
+or catch at boundary j re-queues the arrivals of robots j and j+1 and
+their open contacts.  A contact is open while its boundary is unknown; a
+count of the open ones falls as boundaries are discovered, each discovery
+retiring its contact's entry, and once it reaches zero no event looks at
+contacts again.  Superseded entries become stale and are dropped when
+they reach the top, or by compacting the heap once stale entries
+outnumber live ones.  A parameter change re-pins every robot and rebuilds
+the queue.
 
 Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous
 and resolve by boundary.  No candidate time reads the clock, so pausing
@@ -56,6 +65,7 @@ changes: y, e, speeds, radii and every robot's pinned kinematic state.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -190,15 +200,53 @@ class Trace:
                 kin[i] = (ev.time, p, o, a)
             yield ev, y, e, speeds, radii, kin
 
+    def final_state(self):
+        """``(y, e, v, r)`` after the last event, bit for bit the last
+        ``replay()`` yield (the state before any event if there is none),
+        read without stepping the events: y[j] is the last y_value logged
+        at boundary j, and v and r apply the changes logged before the last
+        event.  A change logged after it does not enter."""
+        n = self.n
+        v = [rb.v for rb in self.fleet.robots]
+        r = [rb.r for rb in self.fleet.robots]
+        index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
+        for ch in self.parameter_changes:
+            if ch["events"] < len(self.events):
+                i = index[ch["robot_id"]]
+                v[i], r[i] = ch["v"], ch["r"]
+        y = [NAN] * (n - 1) + [self.fleet.L]
+        unseen = n - 1
+        for ev in reversed(self.events):
+            if not unseen:
+                break
+            j = ev.boundary
+            if j < n - 1 and math.isnan(y[j]):
+                y[j] = ev.y_value
+                unseen -= 1
+        e = [(y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i] for i in range(n)]
+        return y, e, tuple(v), tuple(r)
+
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time,kind,robot_a,robot_b,boundary_index,y_value,e_a,e_b\n")
-            for ev in self.events:
-                rb = "" if ev.robot_b is None else str(ev.robot_b + 1)
-                fh.write(
-                    f"{ev.time:.9f},{ev.kind},{ev.robot_a + 1},{rb},"
-                    f"{ev.boundary + 1},{ev.y_value:.9f},{ev.e_a:.9f},{ev.e_b:.9f}\n"
-                )
+        rows = (CSV_ROW % (ev.time, ev.kind, ev.robot_a + 1,
+                           "" if ev.robot_b is None else ev.robot_b + 1,
+                           ev.boundary + 1, ev.y_value, ev.e_a, ev.e_b)
+                for ev in self.events)
+        write_rows(path, "time,kind,robot_a,robot_b,boundary_index,y_value,e_a,e_b\n", rows)
+
+
+CSV_ROW = "%.9f,%s,%d,%s,%d,%.9f,%.9f,%.9f\n"
+ROWS_PER_WRITE = 1024
+
+
+def write_rows(path, header: str, rows) -> None:
+    """Write header and the newline-terminated rows, joined in chunks of
+    ROWS_PER_WRITE so the file never exists as one string in memory."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        chunk = list(itertools.islice(rows, ROWS_PER_WRITE))
+        while chunk:
+            fh.write("".join(chunk))
+            chunk = list(itertools.islice(rows, ROWS_PER_WRITE))
 
 
 class _Candidate(NamedTuple):
@@ -216,10 +264,11 @@ class Simulation:
     runs produce bit-identical traces.
 
     Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
-    contact across inner boundary j.  An entry carries its candidate and
-    the candidate's exact time.  ``next_candidate`` pops stale entries off
-    the top and picks among the live ones within ``tie_eps`` (TIME_EPS *
-    L / sum(v), recomputed at a parameter change) of the first, so an
+    contact across inner boundary j.  An entry is ``(time, key, version)``
+    with the candidate's exact time; the candidate itself is rebuilt from
+    the key for the entry chosen.  ``next_candidate`` pops stale entries
+    off the top and picks among the live ones within ``tie_eps`` (TIME_EPS
+    * L / sum(v), recomputed at a parameter change) of the first, so an
     event costs O(log n), not the 2n-1 candidates of a full scan.
 
     ``e_values()`` returns a fresh list copied from the maintained
@@ -261,7 +310,8 @@ class Simulation:
         # number of robots whose e is not within CONVERGENCE_RTOL of t_star
         self._y_nan = [NAN] * (n - 1) + [self.L]
         self._recompute_e()
-        self._queue: list[tuple[float, int, int, _Candidate]] = []
+        self._open = n - 1  # inner boundaries still unknown
+        self._queue: list[tuple[float, int, int]] = []
         self._version = [0] * (2 * n - 1)
         self._rebuild_queue()
 
@@ -296,12 +346,6 @@ class Simulation:
         t = self.t if t is None else t
         return self.p_pin[i] + self.v[i] * self.act[i] * self.o[i] * (t - self.t_pin[i])
 
-    def left_value(self, i: int) -> float | None:
-        return 0.0 if i == 0 else self.y[i - 1]
-
-    def right_value(self, i: int) -> float | None:
-        return self.y[i]  # y[n-1] == L
-
     def left_known(self, i: int) -> bool:
         return self.seam_known_left if i == 0 else self.y[i - 1] is not None
 
@@ -312,7 +356,7 @@ class Simulation:
         return self.left_known(i) and self.right_known(i)
 
     def all_boundaries_known(self) -> bool:
-        return all(y is not None for y in self.y)
+        return not self._open
 
     def e_values(self) -> list[float]:
         """Traversing times per robot (a fresh list); nan while a boundary
@@ -331,26 +375,26 @@ class Simulation:
 
     # -- incremental e and convergence state ---------------------------
 
-    def _within_rtol(self, e: float) -> bool:
-        # false for nan; since division by t_star > 0 is monotone, all
-        # robots within rtol <=> max_deviation() < CONVERGENCE_RTOL
-        return abs(e - self.t_star) / self.t_star < CONVERGENCE_RTOL
-
-    def _traversing_time(self, i: int) -> float:
-        lo, hi = self.left_value(i), self.right_value(i)
-        return NAN if lo is None or hi is None else (hi - lo - 2.0 * self.r[i]) / self.v[i]
-
     def _update_e(self, i: int) -> None:
-        e = self._traversing_time(i)
-        self._off += self._within_rtol(self._e[i]) - self._within_rtol(e)
+        y, t_star = self._y_nan, self.t_star
+        e = (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * self.r[i]) / self.v[i]
+        # within rtol is false for nan; since division by t_star > 0 is
+        # monotone, all robots within rtol <=> max_deviation() < CONVERGENCE_RTOL
+        self._off += ((abs(self._e[i] - t_star) / t_star < CONVERGENCE_RTOL)
+                      - (abs(e - t_star) / t_star < CONVERGENCE_RTOL))
         self._e[i] = e
 
     def _recompute_e(self) -> None:
         """All of e and the out-of-rtol count, after v, r or t_star changed."""
-        self._e = [self._traversing_time(i) for i in range(self.n)]
-        self._off = sum(not self._within_rtol(e) for e in self._e)
+        self._e = [NAN] * self.n
+        self._off = self.n
+        for i in range(self.n):
+            self._update_e(i)
 
     def _set_y(self, j: int, value: float) -> None:
+        if self.y[j] is None:  # discovered: the contact across j is dead for good
+            self._open -= 1
+            self._queue_key(self.n + j, None)
         self.y[j] = value
         self._y_nan[j] = value
         self._update_e(j)
@@ -358,24 +402,22 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------
 
-    def _arrival_candidate(self, i: int) -> _Candidate | None:
+    def _arrival_time(self, i: int) -> float | None:
         if not self.act[i]:
             return None
         if self.o[i] > 0:
-            boundary = i
-            target_val = self.L if i == self.n - 1 else self.y[i]
+            target_val = self.y[i]  # y[n-1] == L
             if target_val is None:
                 return None
             dist = (target_val - self.r[i]) - self.p_pin[i]
         else:
-            boundary = (i - 1) % self.n
             target_val = 0.0 if i == 0 else self.y[i - 1]
             if target_val is None:
                 return None
             dist = self.p_pin[i] - (target_val + self.r[i])
-        return _Candidate(self.t_pin[i] + max(dist, 0.0) / self.v[i], boundary, i, False)
+        return self.t_pin[i] + max(dist, 0.0) / self.v[i]
 
-    def _contact_candidate(self, j: int) -> _Candidate | None:
+    def _contact_time(self, j: int) -> float | None:
         # only inner boundaries are discoverable; the seam is fixed
         if self.y[j] is not None:
             return None
@@ -387,36 +429,59 @@ class Simulation:
             return None
         t_ref = max(self.t_pin[a], self.t_pin[b])
         gap = (self.position(b, t_ref) - self.r[b]) - (self.position(a, t_ref) + self.r[a])
-        return _Candidate(t_ref + max(gap, 0.0) / closing, j, a, True)
+        return t_ref + max(gap, 0.0) / closing
 
-    def _candidate(self, key: int) -> _Candidate | None:
+    def _candidate(self, key: int, time: float) -> _Candidate:
+        """The candidate of a queue key at its time.  An arrival's boundary
+        follows the robot's orientation, which no event changes without
+        re-queueing the robot."""
         n = self.n
-        return self._arrival_candidate(key) if key < n else self._contact_candidate(key - n)
+        if key >= n:
+            return _Candidate(time, key - n, key - n, True)
+        return _Candidate(time, key if self.o[key] > 0 else (key - 1) % n, key, False)
 
-    def _queue_key(self, key: int) -> None:
-        """Supersede key's queued entry, if any, and queue its candidate."""
+    def _arrival_candidate(self, i: int) -> _Candidate | None:
+        t = self._arrival_time(i)
+        return None if t is None else self._candidate(i, t)
+
+    def _contact_candidate(self, j: int) -> _Candidate | None:
+        t = self._contact_time(j)
+        return None if t is None else self._candidate(self.n + j, t)
+
+    def _queue_key(self, key: int, time: float | None) -> None:
+        """Supersede key's queued entry, if any, and queue the key at time
+        (None: the key has no candidate)."""
         self._version[key] += 1
-        c = self._candidate(key)
-        if c is not None:
-            heapq.heappush(self._queue, (c.time, key, self._version[key], c))
+        if time is not None:
+            heapq.heappush(self._queue, (time, key, self._version[key]))
 
     def _rebuild_queue(self) -> None:
         self._queue = []
-        for key in range(len(self._version)):
-            self._queue_key(key)
+        for i in range(self.n):
+            self._queue_key(i, self._arrival_time(i))
+        for j in range(self.n - 1):
+            self._queue_key(self.n + j, self._contact_time(j))
+
+    def _queue_open_contacts(self, i: int) -> None:
+        """Re-queue robot i's contacts across its inner boundaries that are
+        still unknown: a change of its motion changes their closing speed.
+        Call only while ``_open`` is nonzero."""
+        n, y = self.n, self.y
+        for k in (i - 1, i):
+            if 0 <= k < n - 1 and y[k] is None:
+                self._queue_key(n + k, self._contact_time(k))
 
     def _requeue_around(self, j: int) -> None:
         """Re-queue what an event at boundary j can change: the arrivals
-        of robots j and j+1 and the contacts j-1..j+1 (indices mod n; the
-        seam has no contact).  The contact of a known boundary j-1 or j+1
-        is skipped: it is dead for good, and the event that set that
-        boundary already superseded its entry."""
-        n, y = self.n, self.y
-        self._queue_key(j)
-        self._queue_key((j + 1) % n)
-        for k in (j - 1, j, (j + 1) % n):
-            if 0 <= k < n - 1 and (k == j or y[k] is None):
-                self._queue_key(n + k)
+        of robots j and j+1 (index mod n) and, while some inner boundary
+        is unknown, their open contacts.  The contact across j itself is
+        dead: it was known before a meeting, and ``_set_y`` retired it at
+        a discovery or catch."""
+        n = self.n
+        for i in (j, (j + 1) % n):
+            self._queue_key(i, self._arrival_time(i))
+            if self._open:
+                self._queue_open_contacts(i)
         # live entries are at most one per key, so past twice the key
         # count the stale ones are the majority
         if len(self._queue) > 2 * len(self._version):
@@ -426,116 +491,122 @@ class Simulation:
 
     def next_candidate(self) -> _Candidate | None:
         """The next event: of the candidates within ``tie_eps`` of the
-        earliest, the one at the lowest (boundary, robot), arrivals first.
+        earliest, the one at the lowest (boundary, robot), a contact before
+        an arrival.
 
         Stale entries are popped off the top of the heap; the live entries
-        within the tie window of the first one are popped, and pushed back
-        once the tie rule has chosen among them.
+        are only read, so the call can be repeated.  When neither child of
+        the root lies within the tie window, no other entry does and the
+        root is the event.  Otherwise the entries within the window form a
+        subtree at the root, and the tie rule picks among its live ones.
         """
         queue, version = self._queue, self._version
         while queue and queue[0][2] != version[queue[0][1]]:
             heapq.heappop(queue)
         if not queue:
             return None
-        limit = queue[0][0] + self.tie_eps
-        popped = []
-        while queue and queue[0][0] <= limit:
-            en = heapq.heappop(queue)
-            if en[2] == version[en[1]]:
-                popped.append(en)
-        for en in popped:
-            heapq.heappush(queue, en)
+        time, key, _ = queue[0]
+        limit = time + self.tie_eps
+        size = len(queue)
+        if (size < 2 or queue[1][0] > limit) and (size < 3 or queue[2][0] > limit):
+            return self._candidate(key, time)
+        group = []
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            t, key, ver = queue[k]
+            if ver == version[key]:
+                group.append(self._candidate(key, t))
+            k = 2 * k + 1  # the children: k and k + 1
+            if k < size and queue[k][0] <= limit:
+                stack.append(k)
+            if k + 1 < size and queue[k + 1][0] <= limit:
+                stack.append(k + 1)
         # simultaneous events resolve in ascending boundary order
-        return min((en[3] for en in popped), key=lambda c: (c.boundary, c.robot, not c.pair))
+        return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
 
     # -- event application ----------------------------------------------
 
-    def _pin(self, i: int, p: float, t: float) -> None:
-        self.p_pin[i] = p
-        self.t_pin[i] = t
-
-    def _record(self, t, kind, a, b, boundary, y_value, updated=False):
-        if self.trace is None:
-            self._update_convergence(t)
-            return
-        e, p, o, act = self._e, self.p_pin, self.o, self.act
-        if b is None:
-            e_b, states = NAN, ((a, p[a], o[a], act[a]),)
-        else:
-            e_b, states = e[b], ((a, p[a], o[a], act[a]), (b, p[b], o[b], act[b]))
-        events = self.trace.events
-        if events and t < events[-1].time:
-            raise AssertionError("event times must be non-decreasing")
-        events.append(TraceEvent(t, kind, a, b, boundary, y_value, e[a], e_b, updated, states))
-        self._update_convergence(t)
-
-    def _update_convergence(self, t: float) -> None:
+    def _record(self, kind, a, b, boundary, y_value, updated=False):
+        t, trace = self.t, self.trace
+        if trace is not None:
+            e, p, o, act = self._e, self.p_pin, self.o, self.act
+            if b is None:
+                e_b, states = NAN, ((a, p[a], o[a], act[a]),)
+            else:
+                e_b, states = e[b], ((a, p[a], o[a], act[a]), (b, p[b], o[b], act[b]))
+            events = trace.events
+            if events and t < events[-1].time:
+                raise AssertionError("event times must be non-decreasing")
+            events.append(TraceEvent(t, kind, a, b, boundary, y_value, e[a], e_b, updated, states))
         if self._converged_at is None and self._off == 0:
             self._converged_at = t
-            if self.trace is not None:
-                self.trace.converged_at = t
+            if trace is not None:
+                trace.converged_at = t
 
     def _apply_arrival(self, c: _Candidate) -> None:
         i, j = c.robot, c.boundary
-        t_e = max(c.time, self.t)
-        self.t = t_e
         if self.o[i] > 0:
-            contact = (self.L if j == self.n - 1 else self.y[j]) - self.r[i]
+            self.p_pin[i] = self.y[j] - self.r[i]  # y[n-1] == L
         else:
-            contact = (0.0 if i == 0 else self.y[j]) + self.r[i]
-        self._pin(i, contact, t_e)
+            self.p_pin[i] = (0.0 if i == 0 else self.y[j]) + self.r[i]
+        self.t_pin[i] = self.t
         if j == self.n - 1:
             if i == 0:
                 self.seam_known_left = True
             else:
                 self.seam_known_right = True
-        left, right = j, (j + 1) % self.n
-        partner = right if i == left else left
+        partner = (j + 1) % self.n if i == j else j
         if self.waiting_at[partner] == j:
-            self._apply_meeting(j, t_e)
-        else:
-            self.act[i] = 0
-            self.waiting_at[i] = j
-            y_val = self.L if j == self.n - 1 else self.y[j]
-            self._record(t_e, "arrival", i, None, j, y_val)
+            self._apply_meeting(j)
+            return
+        # parked: no arrival until a meeting, and the partner's inputs are
+        # unchanged; only the closing speed of i's open contacts changes
+        self.act[i] = 0
+        self.waiting_at[i] = j
+        self._queue_key(i, None)
+        if self._open:
+            self._queue_open_contacts(i)
+        self._record("arrival", i, None, j, self.y[j])
 
-    def _apply_meeting(self, j: int, t_e: float) -> None:
-        left = j
-        right = (j + 1) % self.n
+    def _apply_meeting(self, j: int) -> None:
+        n, y, r, t = self.n, self.y, self.r, self.t
+        left, right = j, (j + 1) % n
         assert self.o[left] == 1 and self.o[right] == -1, "meeting orientations out of order"
-        updated = False
-        if j < self.n - 1 and self.left_known(left) and self.right_known(right):
-            y_new = boundary_consensus_update(
-                self.left_value(left), self.right_value(right),
-                self.v[left], self.v[right], self.r[left], self.r[right],
-            )
-            self._set_y(j, y_new)
-            updated = True
-        y_val = self.L if j == self.n - 1 else self.y[j]
+        # the boundaries beyond the pair, None while unknown to it
+        lo = (0.0 if self.seam_known_left else None) if j == 0 else y[j - 1]
+        hi = (y[right] if self.seam_known_right else None) if right == n - 1 else y[right]
+        updated = j < n - 1 and lo is not None and hi is not None
+        if updated:
+            self._set_y(j, boundary_consensus_update(
+                lo, hi, self.v[left], self.v[right], r[left], r[right]))
+        y_val = y[j]
         # re-pin both to the (possibly moved) boundary's contact points
-        self._pin(left, y_val - self.r[left], t_e)
-        self._pin(right, (0.0 if right == 0 else y_val) + self.r[right], t_e)
+        self.p_pin[left] = y_val - r[left]
+        self.p_pin[right] = (0.0 if right == 0 else y_val) + r[right]
+        self.t_pin[left] = self.t_pin[right] = t
         self.o[left] = -1
         self.o[right] = 1
         self.act[left] = self.act[right] = 1
         self.waiting_at[left] = self.waiting_at[right] = None
-        self._record(t_e, "meeting", left, right, j, y_val, updated=updated)
+        self._requeue_around(j)
+        self._record("meeting", left, right, j, y_val, updated=updated)
 
     def _apply_contact(self, c: _Candidate) -> None:
-        j = c.boundary
+        j, t = c.boundary, self.t
         a, b = j, j + 1
-        t_e = max(c.time, self.t)
-        self.t = t_e
         # contact point from the left robot's zone edge
-        contact = self.position(a, t_e) + self.r[a]
-        self._pin(a, contact - self.r[a], t_e)
-        self._pin(b, contact + self.r[b], t_e)
+        contact = self.position(a, t) + self.r[a]
+        self.p_pin[a] = contact - self.r[a]
+        self.p_pin[b] = contact + self.r[b]
+        self.t_pin[a] = self.t_pin[b] = t
         if self.o[a] == 1 and self.o[b] == -1:
             assert self.act[a] and self.act[b], "discovery requires both robots moving"
             self._set_y(j, contact)
             self.o[a] = -1
             self.o[b] = 1
-            self._record(t_e, "discovery", a, b, j, contact)
+            self._requeue_around(j)
+            self._record("discovery", a, b, j, contact)
         elif self.o[a] == self.o[b]:
             self._set_y(j, contact)
             if self.o[a] == 1:
@@ -547,7 +618,8 @@ class Simulation:
             self.waiting_at[catcher] = j
             self.act[caught] = 1
             self.waiting_at[caught] = None
-            self._record(t_e, "catch", a, b, j, contact)
+            self._requeue_around(j)
+            self._record("catch", a, b, j, contact)
         else:
             raise AssertionError("contact between receding robots")
 
@@ -559,28 +631,26 @@ class Simulation:
         after t_end, apply nothing, move the clock forward to t_end and
         return None."""
         cand = self.next_candidate()
-        change_due = bool(self._pending_changes) and (
-            cand is None or self._pending_changes[0]["t"] <= max(cand.time, self.t)
-        )
+        t_next = None if cand is None else max(cand.time, self.t)
+        pending = self._pending_changes
+        change_due = bool(pending) and (cand is None or pending[0]["t"] <= t_next)
         if change_due:
-            t_next = self._pending_changes[0]["t"]
+            t_next = pending[0]["t"]
         elif cand is None:
             raise DeadlockError(
                 "no future event: all robots waiting (impossible under A2)"
             )
-        else:
-            t_next = max(cand.time, self.t)
         if t_end is not None and t_next > t_end:
             self.t = max(self.t, t_end)
             return None
         if change_due:
             self._apply_due_change()
             return False
+        self.t = t_next
         if cand.pair:
             self._apply_contact(cand)
         else:
             self._apply_arrival(cand)
-        self._requeue_around(cand.boundary)
         return True
 
     def step(self) -> TraceEvent | None:
@@ -643,20 +713,18 @@ class Simulation:
         if new_v == self.v[idx] and new_r == self.r[idx]:
             return  # literal no-op: leave the state (and hence the trace) untouched
         # pin everyone at the change time so past motion keeps old speeds
-        for i in range(self.n):
-            self._pin(i, self.position(i, t_change), t_change)
+        self.p_pin = [self.position(i, t_change) for i in range(self.n)]
+        self.t_pin = [t_change] * self.n
         self.t = t_change
         self.v[idx] = new_v
         self.r[idx] = new_r
-        # parked robots re-pin to the boundary contact with the new radius
-        if self.waiting_at[idx] is not None:
-            j = self.waiting_at[idx]
+        # a parked robot re-pins to the boundary contact with the new radius
+        j = self.waiting_at[idx]
+        if j is not None:
             if idx == j:  # waiting at its right boundary
-                val = self.L if j == self.n - 1 else self.y[j]
-                self._pin(idx, val - new_r, t_change)
+                self.p_pin[idx] = self.y[j] - new_r
             else:
-                val = 0.0 if idx == 0 else self.y[j]
-                self._pin(idx, val + new_r, t_change)
+                self.p_pin[idx] = (0.0 if idx == 0 else self.y[j]) + new_r
         self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
         self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._converged_at = None

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .engine import Trace
+from .engine import Trace, write_rows
 
 PASS_REL_TOL = 0.01  # absorbs the asymptotic-convergence residual
 
@@ -117,9 +117,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         ]
         return report
 
-    # e after the last event: a change logged after it does not enter
-    for _, _, final_e, _, _, _ in trace.replay():
-        pass
+    _, final_e, _, _ = trace.final_state()
     dev = max(abs(e - t_star) for e in final_e) / t_star
     report.verdicts.append(
         Verdict(
@@ -161,30 +159,30 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
     return report
 
 
-def plot_data_rows(trace: Trace) -> list[str]:
-    """`time,robot,e_i,f_i,windowed_f_i` rows, one per meeting."""
+def plot_data_rows(trace: Trace):
+    """Yield `time,robot,e_i,f_i,windowed_f_i` rows, newline-terminated,
+    one per meeting."""
     n_bal = max(n_bal_of(trace), 1)
-    rows = []
     last_meeting: dict[int, float] = {}
-    history: dict[int, list[float]] = {}
+    history: dict[int, list[float]] = {}  # inter-meeting times per boundary
     for ev in trace.events:
         if ev.kind != "meeting":
             continue
         j = ev.boundary
-        f = ev.time - last_meeting[j] if j in last_meeting else math.nan
+        if j in last_meeting:
+            tail = history[j]
+            f = ev.time - last_meeting[j]
+            tail.append(f)
+            wf = sum(tail[-n_bal:]) / n_bal if len(tail) >= n_bal else math.nan
+        else:
+            history[j] = []
+            f = wf = math.nan
         last_meeting[j] = ev.time
-        if not math.isnan(f):
-            history.setdefault(j, []).append(f)
-        tail = history.get(j, [])
-        wf = sum(tail[-n_bal:]) / n_bal if len(tail) >= n_bal else math.nan
-        rows.append(
-            f"{ev.time:.9f},{ev.robot_a + 1},{ev.e_a:.9f},{f:.9f},{wf:.9f}"
-        )
-    return rows
+        yield PLOT_ROW % (ev.time, ev.robot_a + 1, ev.e_a, f, wf)
+
+
+PLOT_ROW = "%.9f,%d,%.9f,%.9f,%.9f\n"
 
 
 def write_plot_data(trace: Trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("time,robot,e_i,f_i,windowed_f_i\n")
-        for row in plot_data_rows(trace):
-            fh.write(row + "\n")
+    write_rows(path, "time,robot,e_i,f_i,windowed_f_i\n", plot_data_rows(trace))

@@ -11,7 +11,7 @@ stepping it must reproduce the engine's meetings.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import words
 from .engine import Trace
@@ -216,6 +216,9 @@ class EquivalenceReport:
     max_time_err: float
     max_pos_err: float
     detail: str = ""
+    # the round model as stepped: n_rounds + 1 states and n_rounds meeting sets
+    states: list[RoundState] = field(default_factory=list, repr=False)
+    meeting_sets: list[MeetingSet] = field(default_factory=list, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -223,13 +226,21 @@ class EquivalenceReport:
 
 def compare_with_engine(trace: Trace, n_rounds: int = 100,
                         tol: float = 1e-6, t0: float | None = None,
-                        after: float | None = None) -> EquivalenceReport:
+                        after: float | None = None,
+                        state: RoundState | None = None) -> EquivalenceReport:
     """Step the round model and match it meeting-for-meeting against the
-    engine trace over the same window."""
-    state = lift_from_trace(trace, t0=t0, after=after)
+    engine trace over the same window.
+
+    The model starts from ``state`` if given (a lift of this trace), else
+    from ``lift_from_trace(trace, t0=t0, after=after)``; the report holds
+    the states and meeting sets it stepped.
+    """
+    if state is None:
+        state = lift_from_trace(trace, t0=t0, after=after)
+    states, sets = run_rounds(state, n_rounds)
     t_end = state.t0 + n_rounds * state.t_round
     model = []  # (time, boundary, left contact, right contact)
-    for ms in run_rounds(state, n_rounds)[1]:
+    for ms in sets:
         for j, m in ms.meetings:
             left, right = j, (j + 1) % state.n
             bound = trace.fleet.L if j == state.n - 1 else state.y[j]
@@ -239,24 +250,24 @@ def compare_with_engine(trace: Trace, n_rounds: int = 100,
     for ev in trace.events:
         if ev.kind == "meeting" and state.t0 < ev.time <= t_end:
             engine.append((ev.time, ev.boundary, ev.states[0][1], ev.states[1][1]))
+
+    def report(ok, max_dt=0.0, max_dp=0.0, detail=""):
+        return EquivalenceReport(ok, n_rounds, len(model), len(engine), max_dt, max_dp,
+                                 detail, states, sets)
+
     if trace.events and trace.events[-1].time < t_end:
-        return EquivalenceReport(False, n_rounds, len(model), len(engine), 0.0, 0.0,
-                                 detail="trace ends before the comparison window")
+        return report(False, detail="trace ends before the comparison window")
     # boundary-major order: near-simultaneous meetings may sort either way
     # by time alone, but per boundary the meeting sequence is unambiguous
     model.sort(key=lambda m: (m[1], m[0]))
     engine.sort(key=lambda m: (m[1], m[0]))
     if len(model) != len(engine):
-        return EquivalenceReport(False, n_rounds, len(model), len(engine), 0.0, 0.0,
-                                 detail="meeting counts differ")
+        return report(False, detail="meeting counts differ")
     max_dt = 0.0
     max_dp = 0.0
     for (tm, jm, la, ra), (te_, je, lb, rb) in zip(model, engine):
         if jm != je:
-            return EquivalenceReport(False, n_rounds, len(model), len(engine),
-                                     max_dt, max_dp,
-                                     detail=f"pair mismatch at t={te_}: {jm} vs {je}")
+            return report(False, max_dt, max_dp, f"pair mismatch at t={te_}: {jm} vs {je}")
         max_dt = max(max_dt, abs(tm - te_))
         max_dp = max(max_dp, abs(la - lb), abs(ra - rb))
-    ok = max_dt <= tol and max_dp <= tol
-    return EquivalenceReport(ok, n_rounds, len(model), len(engine), max_dt, max_dp)
+    return report(max_dt <= tol and max_dp <= tol, max_dt, max_dp)

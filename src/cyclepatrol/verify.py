@@ -96,6 +96,24 @@ def converged_simulation(cfg: FleetConfig, seed: int, n_minus: int | None = None
 
 # -- consensus suite ------------------------------------------------------
 
+CONSENSUS_TOL = 1e-9  # the sweeps' stopping distance to the weighted mean
+
+
+def predicted_sweeps(second_modulus: float, speeds, e0, tol: float) -> float:
+    """Sweeps for the distance to the weighted mean to fall from
+    ||e0 - mean||_inf to tol at |lambda_2| per sweep (Boyd, Ghosh,
+    Prabhakar & Shah, "Randomized gossip algorithms", IEEE T-IT 2006):
+    log(tol / ||e0 - mean||_inf) / log|lambda_2|, at least 0; inf when the
+    sweep product does not contract."""
+    if second_modulus >= 1.0:
+        return math.inf
+    mean = consensus.fixed_point(speeds, e0)
+    spread = max(abs(x - mean) for x in e0)
+    if spread <= tol or second_modulus <= 0.0:
+        return 0.0
+    return math.log(tol / spread) / math.log(second_modulus)
+
+
 def consensus_suite(n_fleets: int = 200, seed: int = 7,
                     engine_crosschecks: int = 3) -> SuiteResult:
     res = SuiteResult("consensus")
@@ -103,6 +121,8 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
     bad_spectrum = 0
     slow = 0
     worst_sweeps = 0
+    over_gap = 0
+    worst_excess = -math.inf
     for _ in range(n_fleets):
         n = rng.randint(2, 32)
         speeds = [rng.uniform(0.2, 10.0) for _ in range(n)]
@@ -114,14 +134,19 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
         cuts = sorted(rng.uniform(0.0, 1000.0) for _ in range(n - 1))
         ys = [0.0] + cuts + [1000.0]
         e0 = [(ys[i + 1] - ys[i]) / speeds[i] for i in range(n)]
-        _, sweeps, converged = consensus.iterate_consensus(m, e0)
+        _, sweeps, converged = consensus.iterate_consensus(m, e0, tol=CONSENSUS_TOL)
         worst_sweeps = max(worst_sweeps, sweeps)
         if not converged:
             slow += 1
+        excess = sweeps - predicted_sweeps(rep.second_modulus, speeds, e0, CONSENSUS_TOL)
+        worst_excess = max(worst_excess, excess)
+        over_gap += excess > 1.0
     res.add("spectra_in_unit_interval", bad_spectrum == 0,
             f"{n_fleets} fleets, {bad_spectrum} violations")
     res.add("round_robin_reaches_weighted_mean", slow == 0,
             f"worst case {worst_sweeps} sweeps")
+    res.add("sweeps_within_spectral_gap_bound", over_gap == 0,
+            f"{over_gap} fleets over, max sweeps above prediction {worst_excess:.2f}")
     worst_err = 0.0
     checked = 0
     for k in range(engine_crosschecks):
@@ -373,7 +398,7 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         horizon = state.t0 + (n_rounds + 2) * state.t_round
         sim.run_until(t_end=horizon)
         rep = rounds.compare_with_engine(sim.trace, n_rounds=n_rounds, tol=tol,
-                                         t0=state.t0)
+                                         state=state)
         worst_dt = max(worst_dt, rep.max_time_err)
         worst_dp = max(worst_dp, rep.max_pos_err)
         if not rep.ok:
@@ -383,7 +408,8 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         # n-round window each boundary hosts exactly n_bal of them
         n_bal = min(state.ori.count(1), state.ori.count(-1))
         full_windows = n_rounds // n
-        states, sets = rounds.run_rounds(state, full_windows * n)
+        states = rep.states[:full_windows * n + 1]
+        sets = rep.meeting_sets[:full_windows * n]
         per_boundary = Counter(j for ms in sets for j, _t in ms.meetings)
         if any(len(ms.meetings) != n_bal for ms in sets):
             bad_counts += 1

@@ -227,6 +227,19 @@ class TestVerify:
         assert "[FAIL]" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag", ["--fleets", "--samples", "--instances",
+                                      "--conservation-events"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_size_exits_2(self, capsys, flag, value):
+        # these used to run the suite's default size (0) or pass over
+        # nothing (negative) with exit 0
+        rc = cli.main(["verify", "--suite", "all", flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
+
 class TestSweep:
     def test_n_sweep_closed_form_monotone(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclepatrol import consensus
+from cyclepatrol import consensus, verify
 from cyclepatrol.engine import Simulation, random_initial_state
 from cyclepatrol.fleet import fleet_from_dict
 
@@ -157,6 +157,17 @@ class TestSpectrum:
         assert len(rep.violations) == m.n - 1 and "link 0" in rep.violations[0]
 
 
+    def test_second_modulus_is_the_product_lambda_2(self, rng):
+        for _ in range(20):
+            m = random_matrices(rng, n_lo=3, n_hi=10)
+            product = np.eye(m.n)
+            for i in range(m.n - 1):
+                consensus.average_link(product, m.speeds, i)
+            moduli = sorted(abs(np.linalg.eigvals(product)))
+            assert consensus.check_spectrum(m).second_modulus == pytest.approx(moduli[-2],
+                                                                               abs=1e-12)
+
+
 class TestIterate:
     def test_two_robot_weighted_mean(self):
         m = consensus.build_matrices([1.0, 3.0])
@@ -258,3 +269,29 @@ class TestEngineReplay:
         ok, err, count = consensus.replay_trace(sim.trace)
         assert ok, f"max err {err}"
         assert count > 800
+
+
+class TestSuite:
+    def test_sweeps_within_spectral_gap_bound(self):
+        res = verify.consensus_suite(n_fleets=40, engine_crosschecks=0)
+        assert res.ok, res.summary_lines()
+        assert res.checks[2][0] == "sweeps_within_spectral_gap_bound"
+
+    def test_sweep_skipping_a_link_fails_the_bound(self, monkeypatch):
+        def skip_one_link(m, e0, link_sequence=None, tol=1e-9, max_sweeps=10_000):
+            # round-robin sweeps that leave out link (sweep mod n-1)
+            e = [float(x) for x in e0]
+            target = consensus.fixed_point(m.speeds, e0)
+            for sweep in range(1, max_sweeps + 1):
+                for i in range(m.n - 1):
+                    if i != sweep % (m.n - 1):
+                        consensus.average_link(e, m.speeds, i)
+                if max(abs(x - target) for x in e) < tol:
+                    return e, sweep, True
+            return e, max_sweeps, False
+
+        monkeypatch.setattr(consensus, "iterate_consensus", skip_one_link)
+        res = verify.consensus_suite(n_fleets=10, engine_crosschecks=0)
+        name, ok, detail = res.checks[2]
+        assert name == "sweeps_within_spectral_gap_bound"
+        assert not ok, detail

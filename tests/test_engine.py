@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import re
@@ -537,6 +538,82 @@ def test_replay_until_stops_before_later_events(fig3_fleet):
         _, y_ref, e_ref, _, _, kin_ref = next(full)
     assert seen == kept
     assert (bits(y), bits(e), kin) == (bits(y_ref), bits(e_ref), kin_ref)
+
+
+def live_entries(sim):
+    """The queue's live entries as key -> time."""
+    return {key: t for t, key, ver in sim._queue if ver == sim._version[key]}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_runs())
+def test_requeued_entries_match_a_rebuild(run):
+    """After every step, change and mid-gap stop, the live entries the
+    events left re-queued are those a fresh rebuild of the queue holds,
+    and the open-contact count is the number of unknown inner
+    boundaries."""
+    cfg, pos, ori, ops = run
+    sim = Simulation(cfg, pos, ori)
+
+    def advance(call):
+        call()
+        fresh = copy.copy(sim)
+        fresh._version = list(sim._version)
+        fresh._rebuild_queue()
+        assert live_entries(sim) == live_entries(fresh)
+        assert sim._open == sum(y is None for y in sim.y[:-1])
+
+    drive(sim, ops, advance)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_runs())
+def test_final_state_is_the_last_replay_state(run):
+    """Through no-op changes, speed changes and immediate radius shrinks
+    (logged after the last event), the final-state read equals the last
+    replay yield bit for bit."""
+    cfg, pos, ori, ops = run
+    sim = Simulation(cfg, pos, ori)
+    drive(sim, ops, lambda call: call())
+    y, e, v, r = sim.trace.final_state()
+    last = None
+    for _, y_r, e_r, v_r, r_r, _ in sim.trace.replay():
+        last = (bits(y_r), bits(e_r), v_r, r_r)
+    if last is not None:
+        assert (bits(y), bits(e), v, r) == last
+
+
+def test_final_state_skips_a_change_after_the_last_event(fig3_fleet):
+    pos, ori = random_initial_state(fig3_fleet, random.Random(2))
+    sim = Simulation(fig3_fleet, pos, ori)
+    sim.schedule_parameter_change(1000.0, 3)  # a no-op, logged mid-run
+    sim.run_until(max_events=400)
+    before = (bits(sim.e_values()), tuple(sim.v), tuple(sim.r))
+    sim.apply_parameter_change(2, v=1.4, r=40.0)  # logged after the last event
+    assert [ch["events"] for ch in sim.trace.parameter_changes] == [
+        sim.trace.parameter_changes[0]["events"], 400]
+    y, e, v, r = sim.trace.final_state()
+    assert (bits(e), v, r) == before
+    *_, (_, y_r, e_r, v_r, r_r, _) = sim.trace.replay()
+    assert (bits(y), bits(e), v, r) == (bits(y_r), bits(e_r), v_r, r_r)
+
+
+def test_next_candidate_is_a_pure_peek_under_exact_ties():
+    """Identical robots, evenly spaced and alternating: events tie
+    exactly.  Two next_candidate() calls in a row return the same
+    candidate and leave the live entries as they were."""
+    cfg = make_fleet([0.5] * 6, [5.0] * 6, 600.0)
+    sim = Simulation(cfg, [50.0 + 100.0 * i for i in range(6)], [1, -1] * 3)
+    ties = 0
+    for _ in range(500):
+        live = live_entries(sim)
+        first = sim.next_candidate()
+        assert live_entries(sim) == live
+        assert sim.next_candidate() == first
+        assert live_entries(sim) == live
+        ties += sum(t <= first.time + sim.tie_eps for t in live.values()) > 1
+        sim.step()
+    assert ties > 250
 
 
 def trace_bytes_per_event(n, events=1500):

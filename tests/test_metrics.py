@@ -134,7 +134,7 @@ class TestPlotData:
     def test_rows_one_per_meeting(self, fig3_fleet):
         sim = converged_simulation(fig3_fleet, seed=21, n_minus=2,
                                    rtol=1e-9, tail_rounds=12.0)
-        rows = metrics.plot_data_rows(sim.trace)
+        rows = list(metrics.plot_data_rows(sim.trace))
         meetings = [ev for ev in sim.trace.events if ev.kind == "meeting"]
         assert len(rows) == len(meetings)
         assert all(r.count(",") == 4 for r in rows)
