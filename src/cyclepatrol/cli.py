@@ -44,7 +44,10 @@ def cmd_tour(args) -> int:
     graph = build(tasks)
     if graph.total_length == 0.0:
         print("warning: degenerate cycle of length 0", file=sys.stderr)
-    scenario.save_graph_json(graph, args.output)
+    try:
+        scenario.save_graph_json(graph, args.output)
+    except OSError as exc:
+        return _cannot_write(args.output, exc)
     print(f"{args.method} tour over {len(tasks.tasks)} tasks: "
           f"L = {graph.total_length:.9f} -> {args.output}")
     return EXIT_OK
@@ -53,6 +56,11 @@ def cmd_tour(args) -> int:
 def _bad_flag(flag: str, message: str) -> int:
     print(f"error: {flag} {message}", file=sys.stderr)
     return EXIT_VALIDATION
+
+
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def cmd_simulate(args) -> int:
@@ -69,6 +77,9 @@ def cmd_simulate(args) -> int:
         print(f"error: bad fleet file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     cfg = spec.config
+    if args.n_minus is not None and not 1 <= args.n_minus <= cfg.n - 1:
+        return _bad_flag("--n-minus", f"must be between 1 and {cfg.n - 1} for a fleet of "
+                                      f"{cfg.n} robots, got {args.n_minus}")
     if spec.positions is not None and not args.random_start:
         positions, orientations = spec.positions, spec.orientations
     else:
@@ -87,11 +98,14 @@ def cmd_simulate(args) -> int:
         sim.run_until(t_end=sim.t + 10.0 * cfg.n * sim.t_star)
 
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    sim.trace.write_csv(outdir / "trace.csv")
     report = metrics.theorem_verdicts(sim.trace)
-    report.write_json(outdir / "report.json")
-    metrics.write_plot_data(sim.trace, outdir / "plot_data.csv")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        sim.trace.write_csv(outdir / "trace.csv")
+        report.write_json(outdir / "report.json")
+        metrics.write_plot_data(sim.trace, outdir / "plot_data.csv")
+    except OSError as exc:
+        return _cannot_write(outdir, exc)
     print(f"t_star = {report.t_star:.9f} s, t_rev predicted = "
           f"{report.t_rev_predicted:.9f} s, n_bal = {report.n_bal}")
     for v in report.verdicts:
@@ -165,12 +179,15 @@ def cmd_sweep(args) -> int:
                                                seed=args.seed, measure=measure)[0]
                 for f in values]
         label = "factor"
-    with open(args.output, "w", newline="") as fh:
-        fh.write(f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n")
-        for row in rows:
-            fh.write(f"{row['label']:.9f},{row['n']},{row['t_star']:.9f},"
-                     f"{row['t_rev_predicted']:.9f},{row['t_rev_measured']:.9f},"
-                     f"{row['rel_err']:.9f}\n")
+    try:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n")
+            for row in rows:
+                fh.write(f"{row['label']:.9f},{row['n']},{row['t_star']:.9f},"
+                         f"{row['t_rev_predicted']:.9f},{row['t_rev_measured']:.9f},"
+                         f"{row['rel_err']:.9f}\n")
+    except OSError as exc:
+        return _cannot_write(args.output, exc)
     print(f"{len(rows)} sweep points -> {args.output}")
     return EXIT_OK
 

@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .fleet import _integer, _number
+
 Point = tuple[float, float]
 
 
@@ -177,11 +179,19 @@ def map_1d_to_2d(graph: CycleGraph, p: float) -> Point:
 
 
 def tasks_from_dict(doc: dict) -> TaskSet:
-    return TaskSet(
-        tasks=tuple(
-            (int(t["id"]), (float(t["x"]), float(t["y"]))) for t in doc["tasks"]
-        )
-    )
+    """Task set from a parsed task file; a malformed entry is a ValueError
+    that names it and the field, as for fleet files."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"task set must be a JSON object, got {type(doc).__name__}")
+    if "tasks" not in doc:
+        raise ValueError("task set: missing field 'tasks'")
+    if not isinstance(doc["tasks"], list):
+        raise ValueError(f"task set: field 'tasks' must be a list, got {doc['tasks']!r}")
+    tasks = []
+    for k, t in enumerate(doc["tasks"]):
+        where = f"tasks[{k}]"
+        tasks.append((_integer(t, "id", where), (_number(t, "x", where), _number(t, "y", where))))
+    return TaskSet(tasks=tuple(tasks))
 
 
 def load_tasks_json(path) -> TaskSet:

@@ -166,9 +166,18 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
 
 # -- word-calculus suite ---------------------------------------------------
 
-def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word]) -> None:
+def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word],
+                 table: dict[tuple[int, ...], words.Transition]) -> None:
     """Evolve one word to its interlaced configuration, checking every
     lemma-level property along the way.
+
+    Every check runs on every start word; ``table`` only spares
+    recomputing a transition already seen.  An entry is a pure function
+    of the stepped word's letters and is stored only once the transition
+    has been labelled without a `CalculusViolation` (see
+    `words.TrackedEvolution`), so a violating transition raises for
+    every start word that reaches it and the first such word is the one
+    named.
 
     The closing absorbing-regime probe runs only for an unbalanced final
     word not yet in ``probed``, and adds it there once it passes.  This is
@@ -178,7 +187,7 @@ def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word]) -> 
     first start word that reaches it.
     """
     n = w.n
-    ev = words.TrackedEvolution(w)
+    ev = words.TrackedEvolution(w, table)
     rounds_taken = 0
     while not words.is_interlaced(ev.word)[0]:
         if rounds_taken >= n:
@@ -265,7 +274,7 @@ def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word]) -> 
         # unbalanced absorbing behavior: every sequence slides through the
         # majority letters forever (Move+ for a '+' majority, mirrored else)
         absorbing = words.Rule.MOVE_PLUS if plus_majority else words.Rule.MOVE_MINUS
-        probe = words.TrackedEvolution(final)
+        probe = words.TrackedEvolution(final, table)
         for _ in range(min(n, 6)):
             probe.step()
             if any(r != absorbing for r in probe.rules[-1].values()):
@@ -280,18 +289,21 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
 
     The absorbing-regime probe runs once per distinct unbalanced
     interlaced word: the set of probed words lives for one call only.
+    The transition table lives for one word length: a word steps only to
+    words of its own length.
     """
     res = SuiteResult("words-exhaustive")
     counters = {"words": 0, "max_rounds": 0}
     probed: set[words.Word] = set()
     violation = None
     for n in range(2, max_n + 1):
+        table: dict[tuple[int, ...], words.Transition] = {}
         for bits in itertools.product((1, -1), repeat=n):
             w = words.Word(bits)
             if w.n_bal == 0:
                 continue
             try:
-                _word_checks(w, counters, probed)
+                _word_checks(w, counters, probed, table)
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break

@@ -10,7 +10,7 @@ determined by the letters around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 PLUS = 1
@@ -24,13 +24,18 @@ class CalculusViolation(AssertionError):
     """A word transition that the rewrite rules cannot explain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Letters plus their sizes n, n_plus, n_minus and n_bal, which are
     plain attributes computed once here: a word is read about ten times
-    for each time one is built."""
+    for each time one is built.  Equality and hashing use the letters
+    alone."""
 
     letters: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    n_plus: int = field(init=False, repr=False, compare=False)
+    n_minus: int = field(init=False, repr=False, compare=False)
+    n_bal: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = self.letters
@@ -39,8 +44,10 @@ class Word:
         if not all(map((PLUS, MINUS).__contains__, letters)):
             raise ValueError("letters must be +1 or -1")
         n, n_plus = len(letters), letters.count(PLUS)
-        self.__dict__.update(n=n, n_plus=n_plus, n_minus=n - n_plus,
-                             n_bal=min(n_plus, n - n_plus))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "n_minus", n - n_plus)
+        object.__setattr__(self, "n_bal", min(n_plus, n - n_plus))
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
@@ -84,7 +91,7 @@ def is_interlaced(w: Word) -> tuple[bool, list[int]]:
     return len(pairs) == w.n_bal, pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceDecomposition:
     """Maximal even alternating runs (start, length) plus leftover letters."""
 
@@ -251,6 +258,14 @@ def _label_transition(
     return labels, preds_by_target
 
 
+# One word's transition, as `TrackedEvolution.step` reads it: the next
+# word, its decomposition, the rule of each sequence (by index into the
+# current decomposition), the indices of the sequences that disappear, and
+# for each sequence of the next word the indices that tile it.
+Transition = tuple[Word, SequenceDecomposition, tuple[Rule, ...], tuple[int, ...],
+                   tuple[tuple[int, ...], ...]]
+
+
 class TrackedEvolution:
     """Step a word while tracking sequence identities across rounds.
 
@@ -259,9 +274,20 @@ class TrackedEvolution:
     length-history output.  Each round steps and decomposes the word
     once: the current word's decomposition carries over from the round
     that produced it.
+
+    ``table``, when given, maps a word's letters to its `Transition` and is
+    shared by every evolution a caller builds.  This is exact: a transition
+    is a pure function of the letters (the carried decomposition is
+    ``decompose(word)``, and ids enter only after the lookup, through their
+    order, which is that of the decomposition).  An entry is stored only
+    after `_label_transition` succeeds, so a word whose transition raises
+    `CalculusViolation` raises again in every evolution that reaches it.
+    Only transitions from a word that a step produced (``round > 0``) are
+    stored: a caller that enumerates start words steps each from round 0
+    once, and one that a step also produces is stored then.
     """
 
-    def __init__(self, w: Word):
+    def __init__(self, w: Word, table: dict[tuple[int, ...], Transition] | None = None):
         self.word = w
         self.round = 0
         self.decomposition = decompose(w)
@@ -270,13 +296,25 @@ class TrackedEvolution:
         self.history: list[dict[int, int]] = [{k: span[1] for k, span in self.ids.items()}]
         self.rules: list[dict[int, Rule]] = []
         self.merge_groups: list[list[set[int]]] = []
+        self._table = table
 
-    def step(self) -> Word:
+    def _transition(self) -> Transition:
         w2 = step_word(self.word)
         dec2 = decompose(w2)
         labels, preds_by_target = _label_transition(self.word, w2, self.decomposition, dec2)
+        return (w2, dec2, tuple(lab.rule for lab in labels),
+                tuple(k for k, lab in enumerate(labels) if lab.successor is None),
+                tuple(map(tuple, preds_by_target)))
+
+    def step(self) -> Word:
+        table = self._table
+        entry = None if table is None else table.get(self.word.letters)
+        if entry is None:
+            entry = self._transition()
+            if table is not None and self.round > 0:
+                table[self.word.letters] = entry
+        w2, dec2, rules, gone, preds_by_target = entry
         sids = list(self.ids)
-        rules_by_id = {sid: lab.rule for sid, lab in zip(sids, labels)}
 
         new_ids: dict[int, tuple[int, int]] = {}
         lengths: dict[int, int] = {}
@@ -291,16 +329,15 @@ class TrackedEvolution:
             for k in members:
                 if k != survivor:
                     lengths[k] = 0
-        for sid, lab in zip(sids, labels):
-            if lab.successor is None:
-                lengths[sid] = 0
+        for k in gone:
+            lengths[sids[k]] = 0
 
         self.word = w2
         self.decomposition = dec2
         self.round += 1
         self.ids = new_ids
         self.history.append(lengths)
-        self.rules.append(rules_by_id)
+        self.rules.append(dict(zip(sids, rules)))
         self.merge_groups.append(groups)
         return w2
 

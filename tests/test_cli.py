@@ -61,6 +61,30 @@ class TestTour:
         rc = cli.main(["tour", str(tmp_path / "nope.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ([{"id": 1, "x": 0.0, "y": 0.0}], "task set must be a JSON object, got list"),
+        ({}, "task set: missing field 'tasks'"),
+        ({"tasks": 3}, "task set: field 'tasks' must be a list, got 3"),
+        ({"tasks": [{"id": 1, "x": None, "y": 0.0}]},
+         "tasks[0]: field 'x' must be a number, got None"),
+        ({"tasks": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": True, "x": 1.0, "y": 0.0}]},
+         "tasks[1]: field 'id' must be an integer, got True"),
+        ({"tasks": [{"id": 1.5, "x": 0.0, "y": 0.0}]},
+         "tasks[0]: field 'id' must be an integer, got 1.5"),
+        ({"tasks": [{"id": 1, "x": 0.0}]}, "tasks[0]: missing field 'y'"),
+        ({"tasks": [7]}, "tasks[0] must be a JSON object, got int"),
+    ])
+    def test_bad_task_file_exits_2(self, tmp_path, capsys, doc, message):
+        # int() and float() used to truncate 1.5, accept True and raise a
+        # TypeError traceback on null, a list or a number
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "cg.json"
+        rc = cli.main(["tour", str(p), "-o", str(out)])
+        assert rc == 2
+        assert f"error: bad task file: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_subcommand_usage_error(self):
         assert cli.main(["frobnicate"]) == 1
 
@@ -196,6 +220,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "A3 violated at t=4200.0: robot 2" in err
 
+    @pytest.mark.parametrize("value", ["9", "4", "0", "-1"])
+    def test_n_minus_out_of_range_exits_2(self, fig3_fleet_file, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(fig3_fleet_file), "--n-minus", value,
+                       "--events", "50", "-o", str(out)])
+        assert rc == 2
+        assert (f"error: --n-minus must be between 1 and 3 for a fleet of 4 robots, "
+                f"got {value}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "3"])
+    def test_n_minus_at_the_bounds_runs(self, fig3_fleet_file, tmp_path, value):
+        rc = cli.main(["simulate", str(fig3_fleet_file), "--n-minus", value,
+                       "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 0
+
     def test_seeded_runs_byte_identical(self, fig3_fleet_file, tmp_path):
         blobs = []
         for k in range(2):
@@ -284,6 +324,26 @@ class TestSweep:
     def test_requires_exactly_one_mode(self, tmp_path):
         rc = cli.main(["sweep", "-o", str(tmp_path / "s.csv")])
         assert rc == 1
+
+
+@pytest.mark.parametrize("command, blocker", [
+    ("tour", "file"), ("tour", "missing"), ("simulate", "file"),
+    ("sweep", "file"), ("sweep", "missing"),
+])
+def test_unwritable_output_exits_1(square_tasks, fig3_fleet_file, tmp_path, command, blocker):
+    # the output path sits under a regular file or a missing directory
+    # (simulate creates missing directories)
+    parent = tmp_path / "blocker"
+    if blocker == "file":
+        parent.write_text("")
+    out = parent / "x"
+    args = {"tour": ["tour", str(square_tasks)],
+            "simulate": ["simulate", str(fig3_fleet_file), "--events", "50"],
+            "sweep": ["sweep", "--vary-n", "2..3", "--closed-form-only"]}[command]
+    proc = run_module(*args, "-o", str(out))
+    assert proc.returncode == 1
+    assert f"error: cannot write {out}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point():

@@ -237,6 +237,62 @@ class TestTrackedEvolution:
                 assert got == expected, f"{w} round {ev.round}"
                 assert ev.decomposition == decompose(ev.word)
 
+    @staticmethod
+    def _state(ev):
+        return (ev.round, ev.word, ev.decomposition, ev.ids, ev.history, ev.rules,
+                ev.merge_groups)
+
+    def test_shared_table_matches_fresh_steps(self):
+        # the exhaustive suite's pattern: one table per length, shared by
+        # every start word in enumeration order and by the probe from its
+        # interlaced word; every state must equal a table-less evolution's
+        for n in range(2, 10):
+            table = {}
+            for bits in itertools.product((1, -1), repeat=n):
+                w = Word(bits)
+                if w.n_bal == 0:
+                    continue
+                tabled, fresh = TrackedEvolution(w, table), TrackedEvolution(w)
+                while not is_interlaced(fresh.word)[0]:
+                    tabled.step()
+                    fresh.step()
+                    assert self._state(tabled) == self._state(fresh), f"{w} round {fresh.round}"
+                tabled, fresh = TrackedEvolution(fresh.word, table), TrackedEvolution(fresh.word)
+                for _ in range(min(n, 6)):
+                    tabled.step()
+                    fresh.step()
+                    assert self._state(tabled) == self._state(fresh), f"probe of {w}"
+            assert table, f"n={n}: nothing was tabled"
+
+    def test_failed_labelling_leaves_no_entry(self, monkeypatch):
+        start = W("+++---")
+        bad = step_word(start)  # "++-+--", stepped from in round 1
+        assert not is_interlaced(bad)[0]
+        original = words._label_transition
+        failures = []
+
+        def label(w, *args):
+            if w == bad:
+                failures.append(w)
+                raise CalculusViolation(f"{w}: injected")
+            return original(w, *args)
+
+        monkeypatch.setattr(words, "_label_transition", label)
+        table = {}
+        for attempt in (1, 2):
+            ev = TrackedEvolution(start, table)
+            ev.step()
+            with pytest.raises(CalculusViolation, match="injected"):
+                ev.step()
+            assert bad.letters not in table
+            assert len(failures) == attempt
+        # the same two rounds without the fault do store the transition
+        monkeypatch.setattr(words, "_label_transition", original)
+        ev = TrackedEvolution(start, table)
+        ev.step()
+        ev.step()
+        assert bad.letters in table
+
 
 class TestExhaustiveSuite:
     TARGET = W("++-+-")  # unbalanced and interlaced; "+++--" also ends there
