@@ -3,6 +3,9 @@ and parameter sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (violated
 assumptions or premise), 3 property-suite failure.
+
+``simulate``, ``tour``, ``sweep`` and the rounds and conservation suites
+never import numpy; the consensus and words oracles load it when called.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def cmd_sweep(args) -> int:
         rows = [verify.sweep_fleet_size([int(n)], v=args.v, r=args.r, L=args.L,
                                         seed=args.seed, measure=measure)[0]
                 for n in values]
-        label = "n"
+        label = "vary_n"
     else:
         if not all(0.0 < f < math.inf for f in values):
             return _bad_flag(flag, f"must list finite factors > 0, got {spec!r}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ConsensusMatrices:
@@ -59,6 +57,8 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
     """Each P_i must be a projection (its one eigenvalue other than 1,
     1 - eps_i (1/v_i + 1/v_{i+1}), is 0), and the sweep product must have
     spectral radius <= 1 and be primitive."""
+    import numpy as np
+
     v = m.speeds
     violations = []
     for i, eps in enumerate(m.eps):
@@ -86,6 +86,8 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
 
 def fixed_point(speeds, e0) -> float:
     """Weighted mean that every entry converges to: sum(v e0) / sum(v)."""
+    import numpy as np
+
     v = np.asarray(speeds, dtype=float)
     e = np.asarray(e0, dtype=float)
     return float(v @ e / v.sum())

@@ -346,15 +346,6 @@ class Simulation:
         t = self.t if t is None else t
         return self.p_pin[i] + self.v[i] * self.act[i] * self.o[i] * (t - self.t_pin[i])
 
-    def left_known(self, i: int) -> bool:
-        return self.seam_known_left if i == 0 else self.y[i - 1] is not None
-
-    def right_known(self, i: int) -> bool:
-        return self.seam_known_right if i == self.n - 1 else self.y[i] is not None
-
-    def patrolling(self, i: int) -> bool:
-        return self.left_known(i) and self.right_known(i)
-
     def all_boundaries_known(self) -> bool:
         return not self._open
 

@@ -123,23 +123,40 @@ class FleetScenario:
     changes: list[dict] = field(default_factory=list)
 
 
-def _number(doc, name: str, where: str) -> float:
-    """doc[name] as a float, or a ValueError that names the field."""
+def _field(doc, name: str, where: str):
+    """doc[name], or a ValueError if doc is not an object or lacks it."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
     if name not in doc:
         raise ValueError(f"{where}: missing field '{name}'")
-    try:
-        return float(doc[name])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: field '{name}' must be a number, got {doc[name]!r}") from None
+    return doc[name]
+
+
+def _list(doc, name: str, where: str) -> list:
+    """doc[name] if it is a JSON list, else a ValueError that names the field."""
+    x = _field(doc, name, where)
+    if not isinstance(x, list):
+        raise ValueError(f"{where}: field '{name}' must be a list, got {x!r}")
+    return x
+
+
+def _number(doc, name: str, where: str, kind: str = "a number") -> float:
+    """doc[name] as a float, or a ValueError that names the field.  A JSON
+    string or bool is not a number."""
+    x = _field(doc, name, where)
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where}: field '{name}' must be {kind}, got {x!r}")
 
 
 def _integer(doc, name: str, where: str) -> int:
     """doc[name] as an int; a bool or a non-integral number is a ValueError
     that names the field."""
-    x = _number(doc, name, where)
-    if isinstance(doc[name], bool) or not x.is_integer():
+    x = _number(doc, name, where, "an integer")
+    if not x.is_integer():
         raise ValueError(f"{where}: field '{name}' must be an integer, got {doc[name]!r}")
     return doc[name] if isinstance(doc[name], int) else int(x)
 
@@ -150,7 +167,7 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
     orientations = []
     have_state = True
     L = _number(doc, "L", "fleet")
-    for k, entry in enumerate(doc["robots"]):
+    for k, entry in enumerate(_list(doc, "robots", "fleet")):
         where = f"robots[{k}]"
         rb = RobotParams(id=_integer(entry, "id", where), v=_number(entry, "v", where),
                          r=_number(entry, "r", where))
@@ -161,7 +178,8 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
         else:
             have_state = False
     cfg = FleetConfig(robots=tuple(robots), L=L)
-    changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(doc.get("events", []))]
+    events = _list(doc, "events", "fleet") if "events" in doc else []
+    changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(events)]
     return FleetScenario(
         config=cfg,
         positions=positions if have_state else None,
@@ -173,19 +191,20 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
 def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
     """One scheduled parameter change: a known robot id, a finite time
     t >= 0, and new values v and r that pass the robot checks."""
-    t = _number(ev, "t", f"events[{k}]")
-    robot_id = _integer(ev, "robot", f"events[{k}]")
+    where = f"events[{k}]"
+    t = _number(ev, "t", where)
+    robot_id = _integer(ev, "robot", where)
     robot = next((rb for rb in cfg.robots if rb.id == robot_id), None)
     if robot is None:
-        raise ValueError(f"events[{k}]: robot {ev['robot']!r} is not in the fleet")
+        raise ValueError(f"{where}: robot {ev['robot']!r} is not in the fleet")
     if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"events[{k}]: time t must be finite and non-negative, got {t}")
-    v, r = ev.get("v"), ev.get("r")
+        raise ValueError(f"{where}: time t must be finite and non-negative, got {t}")
+    v = robot.v if ev.get("v") is None else _number(ev, "v", where)
+    r = robot.r if ev.get("r") is None else _number(ev, "r", where)
     try:
-        RobotParams(id=robot.id, v=robot.v if v is None else float(v),
-                    r=robot.r if r is None else float(r))
+        RobotParams(id=robot.id, v=v, r=r)
     except ValueError as exc:
-        raise ValueError(f"events[{k}]: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
     return {**ev, "t": t, "robot": robot_id}
 
 

@@ -10,7 +10,6 @@ stepping it must reproduce the engine's meetings.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, replace
 
 from . import words
@@ -58,6 +57,14 @@ def _state_at(trace: Trace, t0: float):
                                     for vi, (t, p, o, a) in zip(v, kin)]
 
 
+def _median(xs) -> float:
+    """The middle of xs sorted, or the mean of the two middle values, as
+    ``statistics.median`` computes it (without importing ``statistics``)."""
+    s = sorted(xs)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
+
+
 def choose_t0(trace: Trace, search_rounds: float = 4.0,
               after: float | None = None) -> float:
     """Midpoint of the largest event-free gap shortly after convergence.
@@ -99,7 +106,7 @@ def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
     dev = max(abs(e - trace.t_star) for e in e_vals) / trace.t_star
     if dev > tolerance:
         raise NotConvergedError(f"deviation {dev} above tolerance {tolerance} at t0")
-    t_round = statistics.median(e_vals)
+    t_round = _median(e_vals)
     n = trace.n
     te, pos, ori = [], [], []
     for i in range(n):

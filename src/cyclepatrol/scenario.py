@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .fleet import _integer, _number
+from .fleet import _integer, _list, _number
 
 Point = tuple[float, float]
 
@@ -181,14 +181,8 @@ def map_1d_to_2d(graph: CycleGraph, p: float) -> Point:
 def tasks_from_dict(doc: dict) -> TaskSet:
     """Task set from a parsed task file; a malformed entry is a ValueError
     that names it and the field, as for fleet files."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"task set must be a JSON object, got {type(doc).__name__}")
-    if "tasks" not in doc:
-        raise ValueError("task set: missing field 'tasks'")
-    if not isinstance(doc["tasks"], list):
-        raise ValueError(f"task set: field 'tasks' must be a list, got {doc['tasks']!r}")
     tasks = []
-    for k, t in enumerate(doc["tasks"]):
+    for k, t in enumerate(_list(doc, "tasks", "task set")):
         where = f"tasks[{k}]"
         tasks.append((_integer(t, "id", where), (_number(t, "x", where), _number(t, "y", where))))
     return TaskSet(tasks=tuple(tasks))

@@ -14,12 +14,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import consensus, metrics, rounds, words
 from .engine import Simulation, random_initial_state
 from .fleet import FleetConfig, RobotParams, compute_t_star
+
+if TYPE_CHECKING:  # numpy loads in the oracles that use it, not with the CLI
+    import numpy as np
 
 
 @dataclass
@@ -317,6 +319,8 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
 
 def _step_batch(w: np.ndarray) -> np.ndarray:
     """Vectorized step over a batch of words (rows)."""
+    import numpy as np
+
     plus = w == 1
     minus_next = np.roll(w, -1, axis=1) == -1
     pairs = plus & minus_next
@@ -329,6 +333,8 @@ def _step_batch(w: np.ndarray) -> np.ndarray:
 def words_random_suite(n: int = 64, samples: int = 10_000, seed: int = 11) -> SuiteResult:
     """Interlacing bound on large random words, vectorized; a scalar
     spot-check guards the vectorized step against the canonical one."""
+    import numpy as np
+
     res = SuiteResult("words-random")
     rng = np.random.default_rng(seed)
     n_minus = rng.integers(1, n, size=samples)

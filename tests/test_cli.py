@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -73,6 +74,10 @@ class TestTour:
          "tasks[0]: field 'id' must be an integer, got 1.5"),
         ({"tasks": [{"id": 1, "x": 0.0}]}, "tasks[0]: missing field 'y'"),
         ({"tasks": [7]}, "tasks[0] must be a JSON object, got int"),
+        ({"tasks": [{"id": 1, "x": "3", "y": 0.0}]},
+         "tasks[0]: field 'x' must be a number, got '3'"),
+        ({"tasks": [{"id": 1, "x": 0.0, "y": False}]},
+         "tasks[0]: field 'y' must be a number, got False"),
     ])
     def test_bad_task_file_exits_2(self, tmp_path, capsys, doc, message):
         # int() and float() used to truncate 1.5, accept True and raise a
@@ -180,6 +185,39 @@ class TestSimulate:
         rc = cli.main(["simulate", str(p), "-o", str(tmp_path / "run")])
         assert rc == 2
         assert "fleet must be a JSON object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"L": 1000.0, "robots": 3}, "fleet: field 'robots' must be a list, got 3"),
+        ({"L": 1000.0}, "fleet: missing field 'robots'"),
+        ({"L": 1000.0, "robots": [{"id": 1, "v": 0.3, "r": 50.0},
+                                  {"id": 2, "v": 0.7, "r": 50.0}], "events": 5},
+         "fleet: field 'events' must be a list, got 5"),
+    ])
+    def test_robots_or_events_not_a_list_exits_2(self, tmp_path, capsys, doc, message):
+        # iterating a number used to end in a TypeError traceback
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "5", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"error: bad fleet file: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("fleet", "L", "1000"), ("robot", "v", True), ("robot", "r", "5"),
+        ("event", "v", True), ("event", "t", "100"),
+    ])
+    def test_string_or_bool_parameter_exits_2(self, fig3_fleet_file, tmp_path, capsys,
+                                              where, field, value):
+        # float() used to read "1000" as 1000.0 and true as 1.0
+        doc = json.loads(fig3_fleet_file.read_text())
+        doc["events"] = [{"t": 100.0, "robot": 2, "v": 0.5}]
+        {"fleet": doc, "robot": doc["robots"][1], "event": doc["events"][0]}[where][field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "5", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        prefix = {"fleet": "fleet", "robot": "robots[1]", "event": "events[0]"}[where]
+        assert (f"{prefix}: field '{field}' must be a number, got {value!r}"
+                in capsys.readouterr().err)
 
     def test_duplicate_robot_id_exits_2(self, fig3_fleet_file, tmp_path, capsys):
         # a change for robot 2 would reach a different robot in the engine
@@ -300,6 +338,22 @@ class TestSweep:
         t_rev = [float(r.split(",")[3]) for r in rows]
         assert all(b < a for a, b in zip(t_rev, t_rev[1:]))
 
+    @pytest.mark.parametrize("mode, value, label", [
+        ("--vary-n", "2..4", "vary_n"), ("--factor", "0.5,2", "factor"),
+    ])
+    def test_header_names_label_and_fleet_size(self, tmp_path, mode, value, label):
+        # --vary-n used to write the header n,n,...: a reader keyed by
+        # name kept only one of the two columns
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", mode, value, "--closed-form-only", "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0].keys() == {label, "n", "t_star", "t_rev_predicted",
+                                  "t_rev_measured", "rel_err"}
+        if label == "vary_n":
+            assert [float(r["vary_n"]) for r in rows] == [2.0, 3.0, 4.0]
+            assert [r["n"] for r in rows] == ["2", "3", "4"]
+
     def test_single_point_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", "--vary-n", "6", "--closed-form-only",
@@ -350,3 +404,45 @@ def test_module_entry_point():
     proc = run_module("verify", "--suite", "rounds", "--instances", "1")
     assert proc.returncode == 0, proc.stderr
     assert "[PASS] rounds: balanced_synchronize_within_n_over_2" in proc.stdout
+
+
+COLD_START = """
+import json, sys
+import cyclepatrol.cli as cli
+
+def loaded(name):
+    return name in sys.modules
+
+tmp = sys.argv[1]
+modules = ["cyclepatrol." + m for m in ("verify", "consensus", "rounds", "words", "metrics")]
+out = {"import": [loaded("numpy"), all(map(loaded, modules))]}
+runs = {
+    "simulate": ["simulate", tmp + "/fleet.json", "--events", "50", "-o", tmp + "/run"],
+    "tour": ["tour", tmp + "/tasks.json", "-o", tmp + "/cg.json"],
+    "sweep": ["sweep", "--vary-n", "2..3", "-o", tmp + "/sweep.csv"],
+    "rounds": ["verify", "--suite", "rounds", "--instances", "1"],
+    "conservation": ["verify", "--suite", "conservation", "--conservation-events", "200"],
+    "consensus": ["verify", "--suite", "consensus", "--fleets", "2"],
+}
+for name, argv in runs.items():
+    out[name] = [cli.main(argv), loaded("numpy")]
+print(json.dumps(out))
+"""
+
+
+def test_cold_start_loads_numpy_only_for_the_oracles_that_use_it(square_tasks,
+                                                                  fig3_fleet_file, tmp_path):
+    # numpy is most of the CLI's import time; simulate, tour, sweep and the
+    # rounds and conservation suites never call it.  The modules the CLI
+    # imports stay loaded: the benchmark's layer tracer finds them there.
+    assert square_tasks.parent == fig3_fleet_file.parent == tmp_path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got.pop("import") == [False, True]
+    assert got.pop("consensus") == [0, True]
+    assert got == {name: [0, False] for name in
+                   ("simulate", "tour", "sweep", "rounds", "conservation")}

@@ -21,6 +21,13 @@ from cyclepatrol.fleet import StaticallyCoverableError
 from conftest import make_fleet
 
 
+def patrolling(sim, i: int) -> bool:
+    """Robot i knows both boundaries of its region."""
+    left = sim.seam_known_left if i == 0 else sim.y[i - 1] is not None
+    right = sim.seam_known_right if i == sim.n - 1 else sim.y[i] is not None
+    return left and right
+
+
 def two_robot_sim(L=2.0, v=(1.0, 1.0), r=(0.0, 0.0), p=(0.5, 1.5), o=(1, -1)):
     return Simulation(make_fleet(list(v), list(r), L), list(p), list(o))
 
@@ -28,7 +35,7 @@ def two_robot_sim(L=2.0, v=(1.0, 1.0), r=(0.0, 0.0), p=(0.5, 1.5), o=(1, -1)):
 class TestInitValidation:
     def test_valid_state(self):
         sim = two_robot_sim()
-        assert not sim.patrolling(0)
+        assert not patrolling(sim, 0)
 
     def test_uniform_orientations_rejected(self):
         with pytest.raises(AssumptionError, match="A2"):
@@ -349,7 +356,7 @@ def test_time_form_equivalence(eight_robot_fleet):
     rng = random.Random(17)
     pos, ori = random_initial_state(eight_robot_fleet, rng, n_minus=3)
     sim = Simulation(eight_robot_fleet, pos, ori)
-    while not all(sim.patrolling(i) for i in range(sim.n)):
+    while not all(patrolling(sim, i) for i in range(sim.n)):
         sim.step()
     twin = TimeFormTwin(sim)
     count = 2000
