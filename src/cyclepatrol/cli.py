@@ -2,7 +2,8 @@
 and parameter sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (violated
-assumptions or premise), 3 property-suite failure.
+assumptions or premise), 3 property-suite failure, or a ``simulate`` run
+to deep convergence that does not converge.
 
 ``simulate``, ``tour``, ``sweep`` and the rounds and conservation suites
 never import numpy; the consensus and words oracles load it when called.
@@ -20,6 +21,7 @@ from pathlib import Path
 from . import metrics, scenario, verify
 from .engine import AssumptionError, Simulation, random_initial_state
 from .fleet import StaticallyCoverableError, load_fleet_json
+from .rounds import NotConvergedError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +99,11 @@ def cmd_simulate(args) -> int:
     elif args.until is not None:
         sim.run_until(t_end=args.until)
     else:
-        verify.run_to_deep_convergence(sim, rtol=1e-9)
+        try:
+            verify.run_to_deep_convergence(sim, rtol=1e-9)
+        except NotConvergedError as exc:
+            print(f"error: {exc}; bound the run with --events or --until", file=sys.stderr)
+            return EXIT_SUITE
         sim.run_until(t_end=sim.t + 10.0 * cfg.n * sim.t_star)
 
     outdir = Path(args.output)

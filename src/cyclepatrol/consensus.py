@@ -93,20 +93,15 @@ def fixed_point(speeds, e0) -> float:
     return float(v @ e / v.sum())
 
 
-def iterate_consensus(m: ConsensusMatrices, e0, link_sequence=None,
-                      tol: float = 1e-9, max_sweeps: int = 10_000):
-    """Apply link updates along a link sequence until the weighted mean.
-
-    Default sequence: round-robin sweeps over all links (jointly connected
-    infinitely often).  Returns (e, sweeps, converged), e a list.
+def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,
+                      max_sweeps: int = 10_000):
+    """Apply round-robin sweeps over all links (jointly connected
+    infinitely often) until the weighted mean.  Returns (e, sweeps,
+    converged), e a list.
     """
     v = m.speeds
     e = [float(x) for x in e0]
     target = fixed_point(v, e0)
-    if link_sequence is not None:
-        for link in link_sequence:
-            average_link(e, v, link)
-        return e, 0, max(abs(x - target) for x in e) < tol
     links = range(m.n - 1)
     for sweep in range(1, max_sweeps + 1):
         for i in links:

@@ -50,10 +50,14 @@ and resolve by boundary.  No candidate time reads the clock, so pausing
 and resuming a run leaves its trace unchanged, and scaling every length
 or every speed by a power of two scales every event time exactly.
 
-The traversing times e, the NaN-for-unknown boundary vector and the count
-of robots outside CONVERGENCE_RTOL are kept incrementally: writing y[j]
-updates only e_j and e_{j+1}, and the convergence test is a comparison of
-that count with 0.
+Each fact of the run state is held once.  The boundary vector y holds
+NaN while a boundary is unknown, so the traversing times
+``traversing(y, r, v, i)`` are NaN until both of a robot's boundaries are
+known.  A robot is parked iff act[i] == 0, and then waits at its right
+boundary if o[i] > 0, else at its left.  The traversing times e and the
+count of robots outside CONVERGENCE_RTOL are kept incrementally: writing
+y[j] updates only e_j and e_{j+1}, and the convergence test is a
+comparison of that count with 0.
 
 The trace is a delta log: each event records only what it changed (the
 boundary value, the participants' traversing times and kinematic states),
@@ -88,6 +92,17 @@ class AssumptionError(ValueError):
 
 class DeadlockError(RuntimeError):
     """No future event exists; unreachable when A2 holds."""
+
+
+def traversing(y, r, v, i: int) -> float:
+    """Robot i's traversing time (y[i] - y[i-1] - 2 r_i) / v_i, with y[-1]
+    read as 0; NaN while either boundary is unknown."""
+    return (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i]
+
+
+def deviation(e, t_star: float) -> float:
+    """max_i |e_i - t_star| / t_star."""
+    return max(abs(x - t_star) for x in e) / t_star
 
 
 def boundary_consensus_update(y_prev: float, y_next: float,
@@ -146,14 +161,15 @@ class Trace:
         before the first event later than ``until``, bit for bit the state
         the engine held after that event.
 
-        y is the boundary vector (nan while unknown, y[n-1] = L), e the
+        y is the boundary vector (NaN while unknown, y[n-1] = L), e the
         traversing times, v and r the speeds and radii in force, and kin[i]
-        robot i's state ``(t, p, o, a)`` pinned at its last event.  Changes
-        logged before an event apply ahead of it as in the engine: one that
-        is not a no-op re-pins every robot at its time with the old speeds,
-        and a parked changed robot at its contact with the new radius.  v
-        and r are new tuples exactly at the events with changes before
-        them.  y, e and kin change in place: copy what you keep.
+        robot i's state ``(t, p, o, a)`` pinned at its last event; a robot
+        with a == 0 is parked at its right boundary if o > 0, else its left.
+        Changes logged before an event apply ahead of it as in the engine:
+        one that is not a no-op re-pins every robot at its time with the old
+        speeds, and a parked changed robot at its contact with the new
+        radius.  v and r are new tuples exactly at the events with changes
+        before them.  y, e and kin change in place: copy what you keep.
         """
         n = self.n
         v = [rb.v for rb in self.fleet.robots]
@@ -162,12 +178,7 @@ class Trace:
         index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
         y = [NAN] * (n - 1) + [self.fleet.L]
         kin = [(0.0, p, o, 1) for p, o in zip(self.initial_positions, self.initial_orientations)]
-
-        def traversing(i: int) -> float:
-            # the engine's formula; nan propagates from an unknown boundary
-            return (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i]
-
-        e = [traversing(i) for i in range(n)]
+        e = [traversing(y, r, v, i) for i in range(n)]
         changes = self.parameter_changes
         c = 0
         for k, ev in enumerate(self.events):
@@ -190,12 +201,12 @@ class Trace:
                     kin[i] = (t, p, o, a)
             if c > applied:
                 speeds, radii = tuple(v), tuple(r)
-                e[:] = [traversing(i) for i in range(n)]
+                e[:] = [traversing(y, r, v, i) for i in range(n)]
             if ev.kind in ("discovery", "catch") or ev.updated:
                 j = ev.boundary
                 y[j] = ev.y_value
-                e[j] = traversing(j)
-                e[j + 1] = traversing(j + 1)
+                e[j] = traversing(y, r, v, j)
+                e[j + 1] = traversing(y, r, v, j + 1)
             for i, p, o, a in ev.states:
                 kin[i] = (ev.time, p, o, a)
             yield ev, y, e, speeds, radii, kin
@@ -223,8 +234,7 @@ class Trace:
             if j < n - 1 and math.isnan(y[j]):
                 y[j] = ev.y_value
                 unseen -= 1
-        e = [(y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i] for i in range(n)]
-        return y, e, tuple(v), tuple(r)
+        return y, [traversing(y, r, v, i) for i in range(n)], tuple(v), tuple(r)
 
     def write_csv(self, path) -> None:
         rows = (CSV_ROW % (ev.time, ev.kind, ev.robot_a + 1,
@@ -263,6 +273,10 @@ class Simulation:
     positions are pinned to exact contact values at events, so repeated
     runs produce bit-identical traces.
 
+    ``y[j]`` is boundary j, between robots j and j+1, NaN while unknown;
+    the seam y[n-1] = L is fixed.  Robot i is parked iff ``act[i] == 0``,
+    and then waits at its right boundary if ``o[i] > 0``, else at its left.
+
     Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
     contact across inner boundary j.  An entry is ``(time, key, version)``
     with the candidate's exact time; the candidate itself is rebuilt from
@@ -291,9 +305,7 @@ class Simulation:
         self.t_pin = [0.0] * n
         self.o = [int(x) for x in orientations]
         self.act = [1] * n
-        self.waiting_at: list[int | None] = [None] * n
-        # boundary j sits between robots j and j+1; the seam (j = n-1) is fixed
-        self.y: list[float | None] = [None] * (n - 1) + [self.L]
+        self.y = [NAN] * (n - 1) + [self.L]
         self.seam_known_left = False   # robot 0 has recorded the seam
         self.seam_known_right = False  # robot n-1 has recorded the seam
         self.t_star = compute_t_star(fleet)
@@ -306,9 +318,8 @@ class Simulation:
             initial_orientations=tuple(self.o),
         ) if record_trace else None
         self._converged_at: float | None = None
-        # incremental state: y with nan for unknown, e per robot, and the
-        # number of robots whose e is not within CONVERGENCE_RTOL of t_star
-        self._y_nan = [NAN] * (n - 1) + [self.L]
+        # incremental state: e per robot, and the number of robots whose e
+        # is not within CONVERGENCE_RTOL of t_star
         self._recompute_e()
         self._open = n - 1  # inner boundaries still unknown
         self._queue: list[tuple[float, int, int]] = []
@@ -318,23 +329,27 @@ class Simulation:
     # -- validation ---------------------------------------------------
 
     def _validate_initial(self, positions, orientations):
+        """A2 and A3 at t = 0.  Each position test is written to fail on
+        NaN, so a NaN start position is rejected, naming its robot."""
         n = self.n
+        ids = [rb.id for rb in self.fleet.robots]
         if any(o not in (-1, 1) for o in orientations):
             raise AssumptionError("orientations must be -1 or +1")
         if len(set(orientations)) < 2:
             raise AssumptionError("A2 violated: all robots share one orientation")
         for i in range(n - 1):
-            if positions[i] > positions[i + 1]:
+            if not positions[i] <= positions[i + 1]:
                 raise AssumptionError(
-                    "A3 violated: initial positions must be sorted by robot index"
+                    "A3 violated: initial positions must be sorted by robot index: "
+                    f"robot {ids[i]} at {positions[i]}, robot {ids[i + 1]} at {positions[i + 1]}"
                 )
         for i in range(n):
-            if positions[i] - self.r[i] < 0 or positions[i] + self.r[i] > self.L:
+            if not (positions[i] - self.r[i] >= 0 and positions[i] + self.r[i] <= self.L):
                 raise AssumptionError(
-                    f"A3 violated: robot {i + 1} communication zone leaves [0, L]"
+                    f"A3 violated: robot {ids[i]} communication zone leaves [0, L]"
                 )
         for i in range(n - 1):
-            if positions[i] + self.r[i] > positions[i + 1] - self.r[i + 1]:
+            if not positions[i] + self.r[i] <= positions[i + 1] - self.r[i + 1]:
                 raise AssumptionError(
                     f"A3 violated: zones overlap: {positions[i]}+{self.r[i]} > "
                     f"{positions[i + 1]}-{self.r[i + 1]}"
@@ -358,7 +373,7 @@ class Simulation:
         """max_i |e_i - t_star| / t_star, or inf while boundaries are missing."""
         if not self.all_boundaries_known():
             return math.inf
-        return max(abs(e - self.t_star) for e in self._e) / self.t_star
+        return deviation(self._e, self.t_star)
 
     @property
     def converged_at(self) -> float | None:
@@ -367,8 +382,8 @@ class Simulation:
     # -- incremental e and convergence state ---------------------------
 
     def _update_e(self, i: int) -> None:
-        y, t_star = self._y_nan, self.t_star
-        e = (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * self.r[i]) / self.v[i]
+        t_star = self.t_star
+        e = traversing(self.y, self.r, self.v, i)
         # within rtol is false for nan; since division by t_star > 0 is
         # monotone, all robots within rtol <=> max_deviation() < CONVERGENCE_RTOL
         self._off += ((abs(self._e[i] - t_star) / t_star < CONVERGENCE_RTOL)
@@ -383,11 +398,10 @@ class Simulation:
             self._update_e(i)
 
     def _set_y(self, j: int, value: float) -> None:
-        if self.y[j] is None:  # discovered: the contact across j is dead for good
+        if math.isnan(self.y[j]):  # discovered: the contact across j is dead for good
             self._open -= 1
             self._queue_key(self.n + j, None)
         self.y[j] = value
-        self._y_nan[j] = value
         self._update_e(j)
         self._update_e(j + 1)
 
@@ -398,19 +412,19 @@ class Simulation:
             return None
         if self.o[i] > 0:
             target_val = self.y[i]  # y[n-1] == L
-            if target_val is None:
+            if math.isnan(target_val):
                 return None
             dist = (target_val - self.r[i]) - self.p_pin[i]
         else:
             target_val = 0.0 if i == 0 else self.y[i - 1]
-            if target_val is None:
+            if math.isnan(target_val):
                 return None
             dist = self.p_pin[i] - (target_val + self.r[i])
         return self.t_pin[i] + max(dist, 0.0) / self.v[i]
 
     def _contact_time(self, j: int) -> float | None:
         # only inner boundaries are discoverable; the seam is fixed
-        if self.y[j] is not None:
+        if not math.isnan(self.y[j]):
             return None
         a, b = j, j + 1
         ua = self.v[a] * self.act[a] * self.o[a]
@@ -459,7 +473,7 @@ class Simulation:
         Call only while ``_open`` is nonzero."""
         n, y = self.n, self.y
         for k in (i - 1, i):
-            if 0 <= k < n - 1 and y[k] is None:
+            if 0 <= k < n - 1 and math.isnan(y[k]):
                 self._queue_key(n + k, self._contact_time(k))
 
     def _requeue_around(self, j: int) -> None:
@@ -548,13 +562,13 @@ class Simulation:
             else:
                 self.seam_known_right = True
         partner = (j + 1) % self.n if i == j else j
-        if self.waiting_at[partner] == j:
+        # the partner waits at j iff it is parked facing the other way
+        if not self.act[partner] and self.o[partner] != self.o[i]:
             self._apply_meeting(j)
             return
         # parked: no arrival until a meeting, and the partner's inputs are
         # unchanged; only the closing speed of i's open contacts changes
         self.act[i] = 0
-        self.waiting_at[i] = j
         self._queue_key(i, None)
         if self._open:
             self._queue_open_contacts(i)
@@ -564,10 +578,10 @@ class Simulation:
         n, y, r, t = self.n, self.y, self.r, self.t
         left, right = j, (j + 1) % n
         assert self.o[left] == 1 and self.o[right] == -1, "meeting orientations out of order"
-        # the boundaries beyond the pair, None while unknown to it
-        lo = (0.0 if self.seam_known_left else None) if j == 0 else y[j - 1]
-        hi = (y[right] if self.seam_known_right else None) if right == n - 1 else y[right]
-        updated = j < n - 1 and lo is not None and hi is not None
+        # the boundaries beyond the pair, NaN while unknown to it
+        lo = (0.0 if self.seam_known_left else NAN) if j == 0 else y[j - 1]
+        hi = (y[right] if self.seam_known_right else NAN) if right == n - 1 else y[right]
+        updated = j < n - 1 and not (math.isnan(lo) or math.isnan(hi))
         if updated:
             self._set_y(j, boundary_consensus_update(
                 lo, hi, self.v[left], self.v[right], r[left], r[right]))
@@ -579,7 +593,6 @@ class Simulation:
         self.o[left] = -1
         self.o[right] = 1
         self.act[left] = self.act[right] = 1
-        self.waiting_at[left] = self.waiting_at[right] = None
         self._requeue_around(j)
         self._record("meeting", left, right, j, y_val, updated=updated)
 
@@ -606,9 +619,7 @@ class Simulation:
                 catcher, caught = b, a
             assert self.act[catcher], "catcher must be moving"
             self.act[catcher] = 0
-            self.waiting_at[catcher] = j
             self.act[caught] = 1
-            self.waiting_at[caught] = None
             self._requeue_around(j)
             self._record("catch", a, b, j, contact)
         else:
@@ -710,12 +721,11 @@ class Simulation:
         self.v[idx] = new_v
         self.r[idx] = new_r
         # a parked robot re-pins to the boundary contact with the new radius
-        j = self.waiting_at[idx]
-        if j is not None:
-            if idx == j:  # waiting at its right boundary
-                self.p_pin[idx] = self.y[j] - new_r
+        if not self.act[idx]:
+            if self.o[idx] > 0:  # waiting at its right boundary
+                self.p_pin[idx] = self.y[idx] - new_r
             else:
-                self.p_pin[idx] = (0.0 if idx == 0 else self.y[j]) + new_r
+                self.p_pin[idx] = (0.0 if idx == 0 else self.y[idx - 1]) + new_r
         self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
         self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._converged_at = None
@@ -729,21 +739,24 @@ class Simulation:
         """A3 at a radius growth: at time t, robot i's zone of radius r_new
         must fit its region (d_i >= 2 r_i), stay inside the boundaries it
         knows and clear its neighbours' zones.  A parked robot is checked
-        where it re-pins.  A shrink cannot break any of these."""
+        where it re-pins.  A shrink cannot break any of these.
+
+        An unknown boundary is NaN, and every comparison with NaN is false,
+        so the region and boundary tests pass over what i does not know."""
         n = self.n
         lo = 0.0 if i == 0 else self.y[i - 1]
-        hi = self.L if i == n - 1 else self.y[i]
-        if self.waiting_at[i] is None:
+        hi = self.y[i]  # y[n-1] == L
+        if self.act[i]:
             p = self.position(i, t)
-        else:
-            p = hi - r_new if self.waiting_at[i] == i else lo + r_new
+        else:  # parked at its right boundary if o > 0, else its left
+            p = hi - r_new if self.o[i] > 0 else lo + r_new
         ids = [rb.id for rb in self.fleet.robots]
         zone = f"its zone [{p - r_new}, {p + r_new}]"
-        if lo is not None and hi is not None and hi - lo < 2.0 * r_new:
+        if hi - lo < 2.0 * r_new:
             problem = f"its region [{lo}, {hi}] is shorter than 2r"
-        elif lo is not None and p - r_new < lo:
+        elif p - r_new < lo:
             problem = f"{zone} crosses its boundary {lo}"
-        elif hi is not None and p + r_new > hi:
+        elif p + r_new > hi:
             problem = f"{zone} crosses its boundary {hi}"
         elif i > 0 and self.position(i - 1, t) + self.r[i - 1] > p - r_new:
             problem = f"{zone} overlaps robot {ids[i - 1]}'s zone"

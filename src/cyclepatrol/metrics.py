@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .engine import Trace, write_rows
+from .engine import Trace, deviation, write_rows
 
 PASS_REL_TOL = 0.01  # absorbs the asymptotic-convergence residual
 
@@ -51,15 +51,6 @@ class Verdict:
     measured: float | None = None
     rel_err: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "predicted": self.predicted,
-            "measured": self.measured,
-            "rel_err": self.rel_err,
-        }
-
 
 @dataclass
 class PerformanceReport:
@@ -75,15 +66,7 @@ class PerformanceReport:
         return all(v.status == "PASS" for v in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "n_bal": self.n_bal,
-            "balanced": self.balanced,
-            "t_rev_predicted": self.t_rev_predicted,
-            "converged_at": self.converged_at,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -118,7 +101,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         return report
 
     _, final_e, _, _ = trace.final_state()
-    dev = max(abs(e - t_star) for e in final_e) / t_star
+    dev = deviation(final_e, t_star)
     report.verdicts.append(
         Verdict(
             "common_traversing_time",

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import words
-from .engine import Trace
+from .engine import CONVERGENCE_RTOL, Trace, deviation
+
+SEARCH_ROUNDS = 4.0  # choose_t0 looks this many round-widths past convergence
 
 
 class NotConvergedError(RuntimeError):
@@ -43,8 +45,8 @@ class MeetingSet:
 
 def _state_at(trace: Trace, t0: float):
     """Boundary values, traversing times, speeds, radii and each robot's
-    kinematic state ({"p", "o", "a"}) at t0, from the replay cursor after
-    the last event up to t0."""
+    kinematic state ``(t0, p, o, a)`` advanced to t0, from the replay
+    cursor after the last event up to t0."""
     done, step = 0, None
     for done, step in enumerate(trace.replay(until=t0), 1):
         pass
@@ -53,7 +55,7 @@ def _state_at(trace: Trace, t0: float):
     if any(ch["events"] >= done and ch["t"] <= t0 for ch in trace.parameter_changes):
         raise NotConvergedError("a parameter change falls between the last event and t0")
     _, y, e, v, r, kin = step
-    return list(y), list(e), v, r, [{"p": p + vi * a * o * (t0 - t), "o": o, "a": a}
+    return list(y), list(e), v, r, [(t0, p + vi * a * o * (t0 - t), o, a)
                                     for vi, (t, p, o, a) in zip(v, kin)]
 
 
@@ -65,18 +67,17 @@ def _median(xs) -> float:
     return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
 
 
-def choose_t0(trace: Trace, search_rounds: float = 4.0,
-              after: float | None = None) -> float:
+def choose_t0(trace: Trace, after: float | None = None) -> float:
     """Midpoint of the largest event-free gap shortly after convergence.
 
-    The search is capped to a few round-widths past ``after`` (default:
+    The search is capped to SEARCH_ROUNDS round-widths past ``after`` (default:
     the convergence time) so the lifted model has trace left to compare
     against; callers that converged deeper pass a later ``after``.
     """
     if trace.converged_at is None:
         raise NotConvergedError("trace never reached the convergence criterion")
     t_c = trace.converged_at if after is None else after
-    horizon = t_c + search_rounds * trace.t_star
+    horizon = t_c + SEARCH_ROUNDS * trace.t_star
     times = [ev.time for ev in trace.events if t_c <= ev.time <= horizon]
     if len(times) < 2:
         raise NotConvergedError("not enough post-convergence events to place t0")
@@ -89,11 +90,12 @@ def choose_t0(trace: Trace, search_rounds: float = 4.0,
     return best_mid
 
 
-def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
-                    t0: float | None = None, after: float | None = None) -> RoundState:
+def lift_from_trace(trace: Trace, t0: float | None = None,
+                    after: float | None = None) -> RoundState:
     """Initial round state from a converged trace.
 
-    Waiting robots carry te = t0; moving robots the exact time their zone
+    The state at t0 must be within CONVERGENCE_RTOL of t_star.  Waiting
+    robots carry te = t0; moving robots the exact time their zone
     reaches the boundary ahead.  Boundary values are frozen at t0 and the
     round width is the realized common traversing time (median of e at
     t0, within numerical noise of the closed form).
@@ -103,28 +105,26 @@ def lift_from_trace(trace: Trace, tolerance: float = 1e-3,
     if t0 is None:
         t0 = choose_t0(trace, after=after)
     y_vals, e_vals, speeds, radii, kin = _state_at(trace, t0)
-    dev = max(abs(e - trace.t_star) for e in e_vals) / trace.t_star
-    if dev > tolerance:
-        raise NotConvergedError(f"deviation {dev} above tolerance {tolerance} at t0")
+    dev = deviation(e_vals, trace.t_star)
+    if dev > CONVERGENCE_RTOL:
+        raise NotConvergedError(f"deviation {dev} above tolerance {CONVERGENCE_RTOL} at t0")
     t_round = _median(e_vals)
-    n = trace.n
     te, pos, ori = [], [], []
-    for i in range(n):
-        s = kin[i]
+    for i, (_, p, o, a) in enumerate(kin):
         left = 0.0 if i == 0 else y_vals[i - 1]
-        right = trace.fleet.L if i == n - 1 else y_vals[i]
-        if s["a"] == 0:
+        right = y_vals[i]  # y[n-1] == L
+        if a == 0:
             te.append(t0)
-            pos.append(s["p"])
-        elif s["o"] > 0:
+            pos.append(p)
+        elif o > 0:
             contact = right - radii[i]
-            te.append(t0 + (contact - s["p"]) / speeds[i])
+            te.append(t0 + (contact - p) / speeds[i])
             pos.append(contact)
         else:
             contact = left + radii[i]
-            te.append(t0 + (s["p"] - contact) / speeds[i])
+            te.append(t0 + (p - contact) / speeds[i])
             pos.append(contact)
-        ori.append(s["o"])
+        ori.append(o)
     return RoundState(
         k=0, t0=t0, t_round=t_round,
         te=tuple(te), pos=tuple(pos), ori=tuple(ori),
@@ -231,26 +231,19 @@ class EquivalenceReport:
         return self.ok
 
 
-def compare_with_engine(trace: Trace, n_rounds: int = 100,
-                        tol: float = 1e-6, t0: float | None = None,
-                        after: float | None = None,
-                        state: RoundState | None = None) -> EquivalenceReport:
-    """Step the round model and match it meeting-for-meeting against the
-    engine trace over the same window.
-
-    The model starts from ``state`` if given (a lift of this trace), else
-    from ``lift_from_trace(trace, t0=t0, after=after)``; the report holds
-    the states and meeting sets it stepped.
+def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
+                        tol: float = 1e-6) -> EquivalenceReport:
+    """Step the round model from ``state``, a lift of this trace, and match
+    it meeting-for-meeting against the engine trace over the same window;
+    the report holds the states and meeting sets it stepped.
     """
-    if state is None:
-        state = lift_from_trace(trace, t0=t0, after=after)
     states, sets = run_rounds(state, n_rounds)
     t_end = state.t0 + n_rounds * state.t_round
     model = []  # (time, boundary, left contact, right contact)
     for ms in sets:
         for j, m in ms.meetings:
             left, right = j, (j + 1) % state.n
-            bound = trace.fleet.L if j == state.n - 1 else state.y[j]
+            bound = state.y[j]  # y[n-1] == L
             model.append((m, j, bound - state.radii[left],
                           (0.0 if right == 0 else bound) + state.radii[right]))
     engine = []

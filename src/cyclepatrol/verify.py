@@ -47,42 +47,41 @@ class SuiteResult:
         ]
 
 
-def random_fleet(rng: random.Random, n: int | None = None,
-                 v_max: float = 10.0, with_radii: bool = True) -> FleetConfig:
+def random_fleet(rng: random.Random, n: int | None = None) -> FleetConfig:
     n = n if n is not None else rng.randint(2, 32)
-    speeds = [rng.uniform(0.5, v_max) for _ in range(n)]
+    speeds = [rng.uniform(0.5, 10.0) for _ in range(n)]
     L = rng.uniform(500.0, 2000.0)
-    if with_radii:
-        budget = 0.25 * L / (2 * n)
-        radii = [rng.uniform(0.0, budget) for _ in range(n)]
-    else:
-        radii = [0.0] * n
+    budget = 0.25 * L / (2 * n)
+    radii = [rng.uniform(0.0, budget) for _ in range(n)]
     robots = tuple(
         RobotParams(id=i + 1, v=speeds[i], r=radii[i]) for i in range(n)
     )
     return FleetConfig(robots=robots, L=L)
 
 
-def run_to_deep_convergence(sim: Simulation, rtol: float = 1e-11,
-                            floor_rtol: float = 1e-8,
-                            max_events: int = 400_000) -> float:
+FLOOR_RTOL = 1e-8  # a deviation that stalls below this is the float fixed point
+MAX_EVENTS = 400_000  # run_to_deep_convergence's event budget
+
+
+def run_to_deep_convergence(sim: Simulation, rtol: float = 1e-11) -> float:
     """Step until max|e - t_star|/t_star drops below rtol, accepting the
-    float fixed point if the deviation stops improving above it."""
+    float fixed point if the deviation stops improving below FLOOR_RTOL.
+    Raises ``rounds.NotConvergedError`` after MAX_EVENTS events."""
     chunk = max(8, 4 * sim.n)
     best = math.inf
     done = 0
-    while done < max_events:
+    while done < MAX_EVENTS:
         dev = sim.max_deviation()
         if dev < rtol:
             return dev
         if dev < best * (1.0 - 1e-6):
             best = dev
-        elif dev < floor_rtol:
+        elif dev < FLOOR_RTOL:
             return dev  # stalled at the arithmetic floor, good enough
         for _ in range(chunk):
             sim.step()
         done += chunk
-    raise RuntimeError(f"no convergence to {rtol} within {max_events} events")
+    raise rounds.NotConvergedError(f"no convergence to {rtol} within {MAX_EVENTS} events")
 
 
 def converged_simulation(cfg: FleetConfig, seed: int, n_minus: int | None = None,
@@ -382,11 +381,9 @@ def words_random_suite(n: int = 64, samples: int = 10_000, seed: int = 11) -> Su
     return res
 
 
-def words_suite(max_n: int = 12, random_n: int = 64,
-                random_samples: int = 10_000, seed: int = 11) -> SuiteResult:
+def words_suite(random_samples: int = 10_000) -> SuiteResult:
     res = SuiteResult("words")
-    for sub in (words_exhaustive_suite(max_n),
-                words_random_suite(random_n, random_samples, seed)):
+    for sub in (words_exhaustive_suite(), words_random_suite(samples=random_samples)):
         for name, ok, detail in sub.checks:
             res.add(name, ok, detail)
     return res
@@ -479,7 +476,7 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
             if sum(sim.o) != o_sum:
                 violations.append(f"run {runs}: orientation sum changed")
                 break
-            vals = [0.0] + [y for y in sim.y if y is not None]
+            vals = [0.0] + [y for y in sim.y if not math.isnan(y)]
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 violations.append(f"run {runs}: boundaries out of order")
                 break
@@ -519,13 +516,14 @@ def sweep_fleet_size(n_values, v: float = 2.0, r: float = 50.0,
     return rows
 
 
-def sweep_capability_factor(factors, n: int = 6, v: float = 2.0, r: float = 50.0,
+def sweep_capability_factor(factors, v: float = 2.0, r: float = 50.0,
                             L: float = 10_000.0, seed: int = 5,
                             measure: bool = True) -> list[dict]:
+    """Six robots, the first two with speed and radius scaled by each factor."""
     rows = []
     for k, f in enumerate(factors):
         robots = []
-        for i in range(n):
+        for i in range(6):
             scale = f if i < 2 else 1.0
             robots.append(RobotParams(id=i + 1, v=v * scale, r=r * scale))
         cfg = FleetConfig(robots=tuple(robots), L=L)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclepatrol import cli
+from cyclepatrol import cli, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -130,6 +130,33 @@ class TestSimulate:
         rc = cli.main(["simulate", str(p), "-o", str(tmp_path / "run")])
         assert rc == 2
         assert "A2" in capsys.readouterr().err
+
+    def test_nan_start_position_exits_2(self, tmp_path, capsys):
+        # json reads the NaN literal; such a run used to write a trace of nan times
+        doc = {"L": 1000.0, "robots": [
+            {"id": 1, "v": 0.3, "r": 10.0, "p0": 100.0, "o0": 1},
+            {"id": 2, "v": 0.7, "r": 10.0, "p0": float("nan"), "o0": -1},
+            {"id": 3, "v": 0.5, "r": 10.0, "p0": 700.0, "o0": 1},
+        ]}
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "A3 violated" in err and "robot 2 at nan" in err
+        assert not out.exists()
+
+    def test_default_run_that_does_not_converge_exits_3(self, fig3_fleet_file, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_EVENTS", 40)
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(fig3_fleet_file), "--seed", "3", "-o", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == ("error: no convergence to 1e-09 within 40 events; "
+                       "bound the run with --events or --until\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("where, field, value", [
         ("robot", "r", float("nan")),

@@ -204,12 +204,6 @@ class TestIterate:
                 consensus.average_link(e, m.speeds, i)
                 assert float(v @ e) == pytest.approx(total, rel=1e-12)
 
-    def test_explicit_link_sequence(self):
-        m = consensus.build_matrices([1.0, 1.0])
-        e, _, converged = consensus.iterate_consensus(m, [0.0, 10.0],
-                                                      link_sequence=[0])
-        assert converged and e == pytest.approx([5.0, 5.0])
-
     def test_sweep_cap_reports_nonconvergence(self):
         m = consensus.build_matrices([1.0, 1.0, 1.0])
         _, _, converged = consensus.iterate_consensus(
@@ -278,7 +272,7 @@ class TestSuite:
         assert res.checks[2][0] == "sweeps_within_spectral_gap_bound"
 
     def test_sweep_skipping_a_link_fails_the_bound(self, monkeypatch):
-        def skip_one_link(m, e0, link_sequence=None, tol=1e-9, max_sweeps=10_000):
+        def skip_one_link(m, e0, tol=1e-9, max_sweeps=10_000):
             # round-robin sweeps that leave out link (sweep mod n-1)
             e = [float(x) for x in e0]
             target = consensus.fixed_point(m.speeds, e0)

@@ -23,8 +23,8 @@ from conftest import make_fleet
 
 def patrolling(sim, i: int) -> bool:
     """Robot i knows both boundaries of its region."""
-    left = sim.seam_known_left if i == 0 else sim.y[i - 1] is not None
-    right = sim.seam_known_right if i == sim.n - 1 else sim.y[i] is not None
+    left = sim.seam_known_left if i == 0 else not math.isnan(sim.y[i - 1])
+    right = sim.seam_known_right if i == sim.n - 1 else not math.isnan(sim.y[i])
     return left and right
 
 
@@ -48,6 +48,11 @@ class TestInitValidation:
     def test_unsorted_positions_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
             two_robot_sim(p=(1.5, 0.5))
+
+    @pytest.mark.parametrize("p, robot", [((math.nan, 1.5), 1), ((0.5, math.nan), 2)])
+    def test_nan_position_rejected(self, p, robot):
+        with pytest.raises(AssumptionError, match=f"A3 violated.*robot {robot} at nan"):
+            two_robot_sim(p=p)
 
     def test_zone_past_the_seam_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
@@ -282,7 +287,7 @@ class TestParameterChange:
     def test_radius_growth_that_fits_accepted(self):
         # robot 3 is parked at y2 = 300 and re-pins to the new contact point
         sim = self.four_robot_run()
-        assert sim.waiting_at[2] == 2
+        assert not sim.act[2] and sim.o[2] > 0
         sim.apply_parameter_change(robot_id=3, r=30.0)
         assert sim.position(2) == sim.y[2] - 30.0
         sim.run_until(max_events=100)
@@ -307,7 +312,9 @@ class TimeFormTwin:
         self.v = list(sim.v)
         self.t = sim.t
         self.o = list(sim.o)
-        self.waiting_at = list(sim.waiting_at)
+        # the boundary each parked robot waits at, None for a moving one
+        self.waiting_at = [None if sim.act[i] else i if self.o[i] > 0 else (i - 1) % self.n
+                           for i in range(self.n)]
         self.e = sim.e_values()
         self.arrival = [math.inf] * self.n
         for i in range(self.n):
@@ -406,13 +413,13 @@ def scratch_e(sim):
     for i in range(sim.n):
         lo = 0.0 if i == 0 else sim.y[i - 1]
         hi = sim.y[i]
-        out.append(math.nan if lo is None or hi is None
+        out.append(math.nan if math.isnan(lo) or math.isnan(hi)
                    else (hi - lo - 2.0 * sim.r[i]) / sim.v[i])
     return out
 
 
 def scratch_max_deviation(sim):
-    if any(y is None for y in sim.y):
+    if any(map(math.isnan, sim.y)):
         return math.inf
     return max(abs(e - sim.t_star) for e in scratch_e(sim)) / sim.t_star
 
@@ -512,7 +519,7 @@ def test_replay_cursor_matches_engine_state(run):
         if len(sim.trace.events) > events:
             kin = [(t.hex(), p.hex(), o, a)
                    for t, p, o, a in zip(sim.t_pin, sim.p_pin, sim.o, sim.act)]
-            held.append((bits(sim._y_nan), bits(sim.e_values()), tuple(sim.v),
+            held.append((bits(sim.y), bits(sim.e_values()), tuple(sim.v),
                          tuple(sim.r), kin))
 
     drive(sim, ops, advance)
@@ -568,7 +575,7 @@ def test_requeued_entries_match_a_rebuild(run):
         fresh._version = list(sim._version)
         fresh._rebuild_queue()
         assert live_entries(sim) == live_entries(fresh)
-        assert sim._open == sum(y is None for y in sim.y[:-1])
+        assert sim._open == sum(map(math.isnan, sim.y[:-1]))
 
     drive(sim, ops, advance)
 

@@ -15,7 +15,7 @@ import pytest
 
 from cyclepatrol import cli, metrics
 from cyclepatrol.engine import Simulation, random_initial_state
-from cyclepatrol.fleet import compute_t_star, load_fleet_json
+from cyclepatrol.fleet import compute_t_star, fleet_from_dict, load_fleet_json
 
 EIGHT_ROBOT_FLEET = {"L": 1000.0, "robots": [
     {"id": i + 1, "v": v, "r": r} for i, (v, r) in enumerate(zip(
@@ -76,8 +76,7 @@ GOLDEN = {
 }
 
 
-def simulate_digests(name: str, tmp_path) -> dict[str, str]:
-    doc, flags = CASES[name]
+def simulate_digests(doc: dict, flags: list[str], tmp_path) -> dict[str, str]:
     fleet = tmp_path / "fleet.json"
     fleet.write_text(json.dumps(doc))
     out = tmp_path / "run"
@@ -88,7 +87,33 @@ def simulate_digests(name: str, tmp_path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_outputs_match_golden_digests(name, tmp_path, capsys):
-    assert simulate_digests(name, tmp_path) == GOLDEN[name]
+    assert simulate_digests(*CASES[name], tmp_path) == GOLDEN[name]
+
+
+def relabel(doc: dict) -> dict:
+    """The fleet with each robot id mapped by id -> 1000 - 7 id, the robots
+    kept in their order and the change records naming the new ids."""
+    return {**doc,
+            "robots": [{**rb, "id": 1000 - 7 * rb["id"]} for rb in doc["robots"]],
+            "events": [{**ev, "robot": 1000 - 7 * ev["robot"]} for ev in doc.get("events", [])]}
+
+
+@pytest.mark.parametrize("name", ["n8-seed0", "n8-two-changes"])
+def test_relabelled_ids_leave_outputs_and_replay_unchanged(name, tmp_path, capsys):
+    """Ids are labels: relabelling the robots leaves every output byte for
+    byte and every replayed state bit for bit as it was."""
+    doc, flags = CASES[name]
+    assert simulate_digests(relabel(doc), flags, tmp_path) == GOLDEN[name]
+    replays = []
+    for spec in (fleet_from_dict(doc), fleet_from_dict(relabel(doc))):
+        sim = Simulation(spec.config, *random_initial_state(spec.config,
+                                                            random.Random(int(flags[1]))))
+        for ch in spec.changes:
+            sim.schedule_parameter_change(ch["t"], ch["robot"], v=ch.get("v"), r=ch.get("r"))
+        sim.run_until(t_end=12000.0)
+        replays.append(sim.trace.replay())
+    for original, relabelled in zip(*replays, strict=True):
+        assert repr(relabelled) == repr(original)
 
 
 def test_two_changes_judged_against_final_t_star(tmp_path, capsys):

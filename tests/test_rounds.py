@@ -148,8 +148,8 @@ class TestLift:
         t0 = rounds.choose_t0(sim.trace, after=after)
         *_, snap_states = rounds._state_at(sim.trace, t0)
         st = lift_from_trace(sim.trace, t0=t0)
-        for i, s in enumerate(snap_states):
-            if s["a"] == 0:
+        for i, (_, _, _, a) in enumerate(snap_states):
+            if a == 0:
                 assert st.te[i] == t0
 
     def test_engine_equivalence_100_rounds(self, converged_sim):
@@ -157,7 +157,7 @@ class TestLift:
         after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
         st = lift_from_trace(sim.trace, after=after)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
-        rep = compare_with_engine(sim.trace, n_rounds=100, tol=1e-6, t0=st.t0)
+        rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert rep.model_meetings == rep.engine_meetings == 400
 
@@ -173,7 +173,7 @@ class TestLiftAcrossChanges:
         sim.run_until(max_events=1)
         t = 0.5 * (sim.trace.events[-1].time + sim.next_candidate().time)
         kin = rounds._state_at(sim.trace, t)[-1]
-        assert [s["p"] for s in kin] == [sim.position(i, t) for i in range(sim.n)]
+        assert [p for _, p, _, _ in kin] == [sim.position(i, t) for i in range(sim.n)]
 
     def test_change_after_the_last_event_rejected(self, fig3_fleet):
         sim = Simulation(fig3_fleet, *random_initial_state(fig3_fleet, random.Random(2)))
@@ -197,6 +197,6 @@ class TestLiftAcrossChanges:
         after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
         st = lift_from_trace(sim.trace, after=after)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
-        rep = compare_with_engine(sim.trace, n_rounds=100, tol=1e-6, t0=st.t0)
+        rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert st.radii[1] == 12.5
