@@ -30,8 +30,11 @@ time is computed once, when its key is queued, from the state pinned at
 the participants' last events, and stays exact until an event changes one
 of its inputs.  A binary heap holds one entry per key (a robot's arrival
 or an inner boundary's contact), ordered by that time and stamped with a
-per-key version.  Choosing the next event peeks: when neither child of
-the heap root lies within the tie window, the root is the event and
+per-key version.  An event is a key and its entry's time: the key says
+what to apply, robot i's arrival or the contact across boundary j, and
+an arriving robot's orientation says at which of its boundaries it
+lands.  Choosing the next event peeks: when neither child of the heap
+root lies within the tie window, the root is the event and
 nothing is popped.  An event re-queues only the keys whose inputs it
 changed.  A robot that arrives and parks re-queues its own arrival (it
 has none while parked) and its open contacts, whose closing speed its
@@ -46,7 +49,12 @@ outnumber live ones.  A parameter change re-pins every robot and rebuilds
 the queue.
 
 Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous
-and resolve by boundary.  No candidate time reads the clock, so pausing
+and resolve by boundary.  Pairwise meetings make a balanced fleet settle
+into synchronized rounds, so ties are common: 44% of the events of a run
+of the n=8 benchmark fleet to deep convergence are chosen from two or
+more live entries, about 60% once it has converged.  A tie group of k
+live entries costs O(k) to rank, so a synchronized round of k events
+costs O(k^2).  No candidate time reads the clock, so pausing
 and resuming a run leaves its trace unchanged, and scaling every length
 or every speed by a power of two scales every event time exactly.
 
@@ -259,13 +267,6 @@ def write_rows(path, header: str, rows) -> None:
             chunk = list(itertools.islice(rows, ROWS_PER_WRITE))
 
 
-class _Candidate(NamedTuple):
-    time: float
-    boundary: int
-    robot: int  # arriving robot, or left robot of a pair contact
-    pair: bool  # True: discovery/catch contact, False: arrival
-
-
 class Simulation:
     """Event-driven simulation of one fleet on the cycle.
 
@@ -279,11 +280,12 @@ class Simulation:
 
     Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
     contact across inner boundary j.  An entry is ``(time, key, version)``
-    with the candidate's exact time; the candidate itself is rebuilt from
-    the key for the entry chosen.  ``next_candidate`` pops stale entries
-    off the top and picks among the live ones within ``tie_eps`` (TIME_EPS
-    * L / sum(v), recomputed at a parameter change) of the first, so an
-    event costs O(log n), not the 2n-1 candidates of a full scan.
+    with the candidate's exact time.  ``next_candidate`` pops stale entries
+    off the top, picks among the live ones within ``tie_eps`` (TIME_EPS
+    * L / sum(v), recomputed at a parameter change) of the first and
+    returns the chosen ``(time, key)``; the event applied is that key's,
+    so an event costs O(log n + k) for k tied entries, not the 2n-1
+    candidates of a full scan.
 
     ``e_values()`` returns a fresh list copied from the maintained
     traversing times; ``max_deviation()`` reads the same list.
@@ -351,8 +353,8 @@ class Simulation:
         for i in range(n - 1):
             if not positions[i] + self.r[i] <= positions[i + 1] - self.r[i + 1]:
                 raise AssumptionError(
-                    f"A3 violated: zones overlap: {positions[i]}+{self.r[i]} > "
-                    f"{positions[i + 1]}-{self.r[i + 1]}"
+                    f"A3 violated: zones overlap: robot {ids[i]} at {positions[i]} with "
+                    f"r={self.r[i]}, robot {ids[i + 1]} at {positions[i + 1]} with r={self.r[i + 1]}"
                 )
 
     # -- geometry helpers ---------------------------------------------
@@ -436,23 +438,6 @@ class Simulation:
         gap = (self.position(b, t_ref) - self.r[b]) - (self.position(a, t_ref) + self.r[a])
         return t_ref + max(gap, 0.0) / closing
 
-    def _candidate(self, key: int, time: float) -> _Candidate:
-        """The candidate of a queue key at its time.  An arrival's boundary
-        follows the robot's orientation, which no event changes without
-        re-queueing the robot."""
-        n = self.n
-        if key >= n:
-            return _Candidate(time, key - n, key - n, True)
-        return _Candidate(time, key if self.o[key] > 0 else (key - 1) % n, key, False)
-
-    def _arrival_candidate(self, i: int) -> _Candidate | None:
-        t = self._arrival_time(i)
-        return None if t is None else self._candidate(i, t)
-
-    def _contact_candidate(self, j: int) -> _Candidate | None:
-        t = self._contact_time(j)
-        return None if t is None else self._candidate(self.n + j, t)
-
     def _queue_key(self, key: int, time: float | None) -> None:
         """Supersede key's queued entry, if any, and queue the key at time
         (None: the key has no candidate)."""
@@ -494,16 +479,17 @@ class Simulation:
             self._queue = [en for en in self._queue if en[2] == version[en[1]]]
             heapq.heapify(self._queue)
 
-    def next_candidate(self) -> _Candidate | None:
-        """The next event: of the candidates within ``tie_eps`` of the
-        earliest, the one at the lowest (boundary, robot), a contact before
-        an arrival.
+    def next_candidate(self) -> tuple[float, int] | None:
+        """The next event as ``(time, key)`` of its live queue entry: of
+        the entries within ``tie_eps`` of the earliest, the one at the
+        lowest (boundary, robot), a contact before an arrival.
 
         Stale entries are popped off the top of the heap; the live entries
         are only read, so the call can be repeated.  When neither child of
         the root lies within the tie window, no other entry does and the
         root is the event.  Otherwise the entries within the window form a
-        subtree at the root, and the tie rule picks among its live ones.
+        subtree at the root, and one walk over it ranks each live entry
+        once: O(k) for a group of k.
         """
         queue, version = self._queue, self._version
         while queue and queue[0][2] != version[queue[0][1]]:
@@ -514,21 +500,26 @@ class Simulation:
         limit = time + self.tie_eps
         size = len(queue)
         if (size < 2 or queue[1][0] > limit) and (size < 3 or queue[2][0] > limit):
-            return self._candidate(key, time)
-        group = []
+            return time, key
+        n, o = self.n, self.o
+        best, best_rank = None, (n,)  # every boundary is below n
         stack = [0]
         while stack:
             k = stack.pop()
             t, key, ver = queue[k]
             if ver == version[key]:
-                group.append(self._candidate(key, t))
+                if key >= n:  # the contact across boundary key - n
+                    rank = (key - n, key - n, False)
+                else:  # an arrival, at the boundary the robot faces
+                    rank = (key if o[key] > 0 else (key - 1) % n, key, True)
+                if rank < best_rank:
+                    best, best_rank = (t, key), rank
             k = 2 * k + 1  # the children: k and k + 1
             if k < size and queue[k][0] <= limit:
                 stack.append(k)
             if k + 1 < size and queue[k + 1][0] <= limit:
                 stack.append(k + 1)
-        # simultaneous events resolve in ascending boundary order
-        return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
+        return best
 
     # -- event application ----------------------------------------------
 
@@ -549,11 +540,14 @@ class Simulation:
             if trace is not None:
                 trace.converged_at = t
 
-    def _apply_arrival(self, c: _Candidate) -> None:
-        i, j = c.robot, c.boundary
+    def _apply_arrival(self, i: int) -> None:
+        # the boundary robot i faces: no event changes o between the peek
+        # that chose this arrival and here
         if self.o[i] > 0:
+            j = i
             self.p_pin[i] = self.y[j] - self.r[i]  # y[n-1] == L
         else:
+            j = (i - 1) % self.n
             self.p_pin[i] = (0.0 if i == 0 else self.y[j]) + self.r[i]
         self.t_pin[i] = self.t
         if j == self.n - 1:
@@ -596,8 +590,8 @@ class Simulation:
         self._requeue_around(j)
         self._record("meeting", left, right, j, y_val, updated=updated)
 
-    def _apply_contact(self, c: _Candidate) -> None:
-        j, t = c.boundary, self.t
+    def _apply_contact(self, j: int) -> None:
+        t = self.t
         a, b = j, j + 1
         # contact point from the left robot's zone edge
         contact = self.position(a, t) + self.r[a]
@@ -633,7 +627,7 @@ class Simulation:
         after t_end, apply nothing, move the clock forward to t_end and
         return None."""
         cand = self.next_candidate()
-        t_next = None if cand is None else max(cand.time, self.t)
+        t_next = None if cand is None else max(cand[0], self.t)
         pending = self._pending_changes
         change_due = bool(pending) and (cand is None or pending[0]["t"] <= t_next)
         if change_due:
@@ -649,10 +643,11 @@ class Simulation:
             self._apply_due_change()
             return False
         self.t = t_next
-        if cand.pair:
-            self._apply_contact(cand)
+        key = cand[1]
+        if key >= self.n:
+            self._apply_contact(key - self.n)
         else:
-            self._apply_arrival(cand)
+            self._apply_arrival(key)
         return True
 
     def step(self) -> TraceEvent | None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cyclepatrol import verify
 from cyclepatrol.engine import (
     CONVERGENCE_RTOL,
     TIME_EPS,
@@ -16,7 +17,7 @@ from cyclepatrol.engine import (
     boundary_consensus_update,
     random_initial_state,
 )
-from cyclepatrol.fleet import StaticallyCoverableError
+from cyclepatrol.fleet import FleetConfig, RobotParams, StaticallyCoverableError
 
 from conftest import make_fleet
 
@@ -44,6 +45,11 @@ class TestInitValidation:
     def test_overlapping_zones_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
             Simulation(make_fleet([1, 1], [6.0, 6.0], 100.0), [10.0, 20.0], [1, -1])
+
+    def test_overlap_message_names_both_robots(self):
+        robots = (RobotParams(id=4, v=1.0, r=10.0), RobotParams(id=9, v=1.0, r=10.0))
+        with pytest.raises(AssumptionError, match=r"zones overlap: robot 4 at 30\.0 .*robot 9 at 35\.0"):
+            Simulation(FleetConfig(robots=robots, L=100.0), [30.0, 35.0], [1, -1])
 
     def test_unsorted_positions_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
@@ -395,17 +401,20 @@ def test_deadlock_unreachable_on_random_instances(rng):
 # -- the kinetic queue against a full scan ---------------------------------
 
 def scan_next_candidate(sim):
-    """Reference scheduler: every arrival and contact candidate computed
+    """Reference scheduler: every arrival and contact time computed
     afresh; of those within the simulation's tie tolerance of the
-    earliest, the lowest (boundary, robot), arrivals first."""
-    cands = [sim._arrival_candidate(i) for i in range(sim.n)]
-    cands += [sim._contact_candidate(j) for j in range(sim.n - 1)]
-    cands = [c for c in cands if c is not None]
+    earliest, the lowest (boundary, robot), a contact before an arrival.
+    Returns ``(time, key)`` like ``next_candidate``."""
+    n = sim.n
+    cands = [(sim._arrival_time(i), i, (i if sim.o[i] > 0 else (i - 1) % n, i, 1))
+             for i in range(n)]
+    cands += [(sim._contact_time(j), n + j, (j, j, 0)) for j in range(n - 1)]
+    cands = [c for c in cands if c[0] is not None]
     if not cands:
         return None
-    t_min = min(c.time for c in cands)
-    group = [c for c in cands if c.time <= t_min + sim.tie_eps]
-    return min(group, key=lambda c: (c.boundary, c.robot, not c.pair))
+    t_min = min(c[0] for c in cands)
+    time, key, _ = min((c for c in cands if c[0] <= t_min + sim.tie_eps), key=lambda c: c[2])
+    return time, key
 
 
 def scratch_e(sim):
@@ -614,8 +623,9 @@ def test_final_state_skips_a_change_after_the_last_event(fig3_fleet):
 
 def test_next_candidate_is_a_pure_peek_under_exact_ties():
     """Identical robots, evenly spaced and alternating: events tie
-    exactly.  Two next_candidate() calls in a row return the same
-    candidate and leave the live entries as they were."""
+    exactly, and in discovery open contacts tie with arrivals.  Two
+    next_candidate() calls in a row return the same candidate, the one
+    the full scan picks, and leave the live entries as they were."""
     cfg = make_fleet([0.5] * 6, [5.0] * 6, 600.0)
     sim = Simulation(cfg, [50.0 + 100.0 * i for i in range(6)], [1, -1] * 3)
     ties = 0
@@ -623,11 +633,102 @@ def test_next_candidate_is_a_pure_peek_under_exact_ties():
         live = live_entries(sim)
         first = sim.next_candidate()
         assert live_entries(sim) == live
-        assert sim.next_candidate() == first
+        assert sim.next_candidate() == first == scan_next_candidate(sim)
         assert live_entries(sim) == live
-        ties += sum(t <= first.time + sim.tie_eps for t in live.values()) > 1
+        ties += sum(t <= first[0] + sim.tie_eps for t in live.values()) > 1
         sim.step()
     assert ties > 250
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_queue_matches_the_scan_in_synchronized_rounds(eight_robot_fleet, seed):
+    """Once the n=8 benchmark fleet has converged, its meetings fall into
+    synchronized rounds and most events are chosen from a tie group (602
+    to 632 of 1,000 from two or more live entries, 277 to 308 from three
+    or more, at these seeds).  Through 1,000 such events the queue picks
+    what the full scan picks."""
+    sim = Simulation(eight_robot_fleet,
+                     *random_initial_state(eight_robot_fleet, random.Random(seed)))
+    verify.run_to_deep_convergence(sim, rtol=1e-9)
+    sizes = []
+    for _ in range(1000):
+        first = sim.next_candidate()
+        assert first == scan_next_candidate(sim)
+        sizes.append(sum(t <= first[0] + sim.tie_eps for t in live_entries(sim).values()))
+        sim.step()
+    assert sum(k >= 2 for k in sizes) >= 500
+    assert sum(k >= 3 for k in sizes) >= 200
+
+
+def event_label(ev):
+    """(kind, boundary, robots) of a trace event."""
+    robots = (ev.robot_a,) if ev.robot_b is None else (ev.robot_a, ev.robot_b)
+    return ev.kind, ev.boundary, tuple(sorted(robots))
+
+
+def mirrored_label(ev, n):
+    """An event's label in the mirror image: robot i -> n-1-i, inner
+    boundary j -> n-2-j, and the seam n-1 stays."""
+    kind, j, robots = event_label(ev)
+    return kind, j if j == n - 1 else n - 2 - j, tuple(sorted(n - 1 - i for i in robots))
+
+
+def tie_clusters(events, width, label):
+    """The events cut into runs each within width of the one before, as
+    ``(times, labels)``, both sorted.  An arrival at a boundary where the
+    run also holds a meeting loses its robot: either robot of the pair can
+    be the one logged as parking, by the tie rule's robot order."""
+    runs = []
+    for ev in events:
+        if not runs or ev.time - runs[-1][-1].time > width:
+            runs.append([])
+        runs[-1].append(ev)
+    clusters = []
+    for run in runs:
+        labels = [label(ev) for ev in run]
+        met = {j for kind, j, _ in labels if kind == "meeting"}
+        labels = [(kind, j, () if kind == "arrival" and j in met else robots)
+                  for kind, j, robots in labels]
+        clusters.append((sorted(ev.time for ev in run), sorted(labels)))
+    return clusters
+
+
+def test_mirror_image_mirrors_the_trace():
+    """Mirroring a start (p -> L - p, o -> -o, robot i -> n-1-i with its
+    speed and radius) mirrors the run: cluster for cluster of simultaneous
+    events, the same events with mapped labels at the same times.  Order
+    inside a cluster is not kept: the tie rule resolves by boundary index,
+    which the map reverses.  Every fifth fleet is identical robots evenly
+    spaced, whose events tie exactly."""
+    rng = random.Random(2024)
+    for fleet in range(20):
+        n = rng.randint(3, 10)
+        if fleet % 5:
+            speeds = [rng.uniform(0.3, 3.0) for _ in range(n)]
+            radii = [rng.uniform(0.0, 10.0) for _ in range(n)]
+            cfg = make_fleet(speeds, radii, 2.0 * sum(radii) + rng.uniform(100.0, 1000.0))
+            pos, ori = random_initial_state(cfg, rng, n_minus=rng.randint(1, n - 1))
+        else:
+            cfg = make_fleet([0.5] * n, [5.0] * n, 100.0 * n)
+            _, ori = random_initial_state(cfg, rng, n_minus=rng.randint(1, n - 1))
+            pos = [50.0 + 100.0 * i for i in range(n)]
+        mirror = make_fleet([rb.v for rb in reversed(cfg.robots)],
+                            [rb.r for rb in reversed(cfg.robots)], cfg.L)
+        runs = [Simulation(cfg, pos, ori),
+                Simulation(mirror, [cfg.L - p for p in reversed(pos)], [-o for o in reversed(ori)])]
+        for sim in runs:
+            sim.run_until(max_events=2000)
+        width = 100.0 * runs[0].tie_eps
+        ours = tie_clusters(runs[0].trace.events, width, lambda ev: mirrored_label(ev, n))
+        theirs = tie_clusters(runs[1].trace.events, width, event_label)
+        # the 2,000th event may cut the last cluster at different events
+        assert len(ours) == len(theirs), fleet
+        assert [lab for _, lab in ours[:-1]] == [lab for _, lab in theirs[:-1]], fleet
+        assert [t for ts, _ in ours[:-1] for t in ts] == pytest.approx(
+            [t for ts, _ in theirs[:-1] for t in ts], rel=1e-9), fleet
+        a, b = (sim.converged_at for sim in runs)
+        assert (a is None) == (b is None), fleet
+        assert a is None or b == pytest.approx(a, rel=1e-9), fleet
 
 
 def trace_bytes_per_event(n, events=1500):

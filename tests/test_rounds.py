@@ -171,7 +171,7 @@ class TestLiftAcrossChanges:
         sim.schedule_parameter_change(5000.0, 2, v=0.35)
         sim.run_until(t_end=5000.0)
         sim.run_until(max_events=1)
-        t = 0.5 * (sim.trace.events[-1].time + sim.next_candidate().time)
+        t = 0.5 * (sim.trace.events[-1].time + sim.next_candidate()[0])
         kin = rounds._state_at(sim.trace, t)[-1]
         assert [p for _, p, _, _ in kin] == [sim.position(i, t) for i in range(sim.n)]
 
