@@ -31,41 +31,43 @@ the participants' last events, and stays exact until an event changes one
 of its inputs.  A binary heap holds one entry per key (a robot's arrival
 or an inner boundary's contact), ordered by that time and stamped with a
 per-key version.  An event is a key and its entry's time: the key says
-what to apply, robot i's arrival or the contact across boundary j, and
-an arriving robot's orientation says at which of its boundaries it
-lands.  Choosing the next event peeks: when neither child of the heap
-root lies within the tie window, the root is the event and
-nothing is popped.  An event re-queues only the keys whose inputs it
-changed.  A robot that arrives and parks re-queues its own arrival (it
-has none while parked) and its open contacts, whose closing speed its
-stop changed; its partner's arrival is left alone.  A meeting, discovery
-or catch at boundary j re-queues the arrivals of robots j and j+1 and
-their open contacts.  A contact is open while its boundary is unknown; a
-count of the open ones falls as boundaries are discovered, each discovery
-retiring its contact's entry, and once it reaches zero no event looks at
-contacts again.  Superseded entries become stale and are dropped when
-they reach the top, or by compacting the heap once stale entries
-outnumber live ones.  A parameter change re-pins every robot and rebuilds
-the queue.
+what to apply, robot i's arrival or the contact across boundary j.  A
+robot ends every traversal at ``contact(y, i, o, r)``, where its zone
+touches the boundary its orientation faces; it arrives, parks and
+re-pins there, and the round model lifts and steps positions by the
+same function.  Choosing the next event peeks: when neither child of the
+heap root lies within the tie window, the root is the event and nothing
+is popped.  An event re-queues only the keys whose inputs it changed.  A
+robot that arrives and parks re-queues its own arrival (it has none while
+parked) and its open contacts, whose closing speed its stop changed; its
+partner's arrival is left alone.  A meeting, discovery or catch at
+boundary j re-queues the arrivals of robots j and j+1 and their open
+contacts.  A contact is open while its boundary is unknown; a count of
+the open ones falls as boundaries are discovered, each discovery retiring
+its contact's entry, and once it reaches zero no event looks at contacts
+again.  Superseded entries become stale and are dropped when they reach
+the top, or by compacting the heap once stale entries outnumber live
+ones.  A parameter change re-pins every robot and rebuilds the queue.
 
 Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous
-and resolve by boundary.  Pairwise meetings make a balanced fleet settle
-into synchronized rounds, so ties are common: 44% of the events of a run
-of the n=8 benchmark fleet to deep convergence are chosen from two or
-more live entries, about 60% once it has converged.  A tie group of k
-live entries costs O(k) to rank, so a synchronized round of k events
-costs O(k^2).  No candidate time reads the clock, so pausing
-and resuming a run leaves its trace unchanged, and scaling every length
-or every speed by a power of two scales every event time exactly.
+and resolve by lowest boundary, then lowest robot.  Pairwise meetings
+make a balanced fleet settle into synchronized rounds, so ties are
+common: 44% of the events of a run of the n=8 benchmark fleet to deep
+convergence are chosen from two or more live entries, about 60% once it
+has converged.  A tie group of k live entries costs O(k) to rank, so a
+synchronized round of k events costs O(k^2).  No candidate time reads the
+clock, so pausing and resuming a run leaves its trace unchanged, and
+scaling every length or every speed by a power of two scales every event
+time exactly.
 
 Each fact of the run state is held once.  The boundary vector y holds
 NaN while a boundary is unknown, so the traversing times
 ``traversing(y, r, v, i)`` are NaN until both of a robot's boundaries are
-known.  A robot is parked iff act[i] == 0, and then waits at its right
-boundary if o[i] > 0, else at its left.  The traversing times e and the
-count of robots outside CONVERGENCE_RTOL are kept incrementally: writing
-y[j] updates only e_j and e_{j+1}, and the convergence test is a
-comparison of that count with 0.
+known.  A robot is parked iff act[i] == 0, and then waits at its
+contact.  The traversing times e and the count of robots outside
+CONVERGENCE_RTOL are kept incrementally: writing y[j] updates only e_j
+and e_{j+1}, and the convergence test is a comparison of that count
+with 0.
 
 The trace is a delta log: each event records only what it changed (the
 boundary value, the participants' traversing times and kinematic states),
@@ -83,7 +85,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .fleet import FleetConfig, RobotParams, StaticallyCoverableError, compute_t_star
+from .fleet import FleetConfig, RobotParams, StaticallyCoverableError
 
 NAN = float("nan")
 
@@ -106,6 +108,19 @@ def traversing(y, r, v, i: int) -> float:
     """Robot i's traversing time (y[i] - y[i-1] - 2 r_i) / v_i, with y[-1]
     read as 0; NaN while either boundary is unknown."""
     return (y[i] - (0.0 if i == 0 else y[i - 1]) - 2.0 * r[i]) / v[i]
+
+
+def contact(y, i: int, o: int, r: float) -> float:
+    """Where robot i of radius r, facing o, ends a traversal: its zone
+    touches the boundary it faces, at y[i] - r if o > 0, else y[i-1] + r
+    with y[-1] read as 0; NaN while that boundary is unknown."""
+    return y[i] - r if o > 0 else (0.0 if i == 0 else y[i - 1]) + r
+
+
+def kin_at(kin, v, t: float) -> list:
+    """Each pinned state ``(t_pin, p, o, a)`` of kin moved on to time t at
+    the speeds v."""
+    return [(t, p + vi * a * o * (t - tp), o, a) for vi, (tp, p, o, a) in zip(v, kin)]
 
 
 def deviation(e, t_star: float) -> float:
@@ -172,7 +187,7 @@ class Trace:
         y is the boundary vector (NaN while unknown, y[n-1] = L), e the
         traversing times, v and r the speeds and radii in force, and kin[i]
         robot i's state ``(t, p, o, a)`` pinned at its last event; a robot
-        with a == 0 is parked at its right boundary if o > 0, else its left.
+        with a == 0 is parked at ``contact(y, i, o, r[i])``.
         Changes logged before an event apply ahead of it as in the engine:
         one that is not a no-op re-pins every robot at its time with the old
         speeds, and a parked changed robot at its contact with the new
@@ -200,13 +215,11 @@ class Trace:
                 if ch["v"] == v[i] and ch["r"] == r[i]:
                     continue  # a no-op change leaves the engine's state untouched
                 t = ch["t"]
-                kin[:] = [(t, p + vm * a * o * (t - tp), o, a)
-                          for vm, (tp, p, o, a) in zip(v, kin)]
+                kin[:] = kin_at(kin, v, t)
                 v[i], r[i] = ch["v"], ch["r"]
                 _, p, o, a = kin[i]
-                if not a:  # parked at its right boundary if o > 0, else its left
-                    p = y[i] - r[i] if o > 0 else (0.0 if i == 0 else y[i - 1]) + r[i]
-                    kin[i] = (t, p, o, a)
+                if not a:  # parked at its contact
+                    kin[i] = (t, contact(y, i, o, r[i]), o, a)
             if c > applied:
                 speeds, radii = tuple(v), tuple(r)
                 e[:] = [traversing(y, r, v, i) for i in range(n)]
@@ -276,16 +289,17 @@ class Simulation:
 
     ``y[j]`` is boundary j, between robots j and j+1, NaN while unknown;
     the seam y[n-1] = L is fixed.  Robot i is parked iff ``act[i] == 0``,
-    and then waits at its right boundary if ``o[i] > 0``, else at its left.
+    and then waits at ``contact(y, i, o[i], r[i])``.
 
     Queue keys: 0..n-1 are the arrivals of robots 0..n-1, n+j is the
     contact across inner boundary j.  An entry is ``(time, key, version)``
     with the candidate's exact time.  ``next_candidate`` pops stale entries
     off the top, picks among the live ones within ``tie_eps`` (TIME_EPS
-    * L / sum(v), recomputed at a parameter change) of the first and
-    returns the chosen ``(time, key)``; the event applied is that key's,
-    so an event costs O(log n + k) for k tied entries, not the 2n-1
-    candidates of a full scan.
+    * L / sum(v), recomputed at a parameter change) of the first the one
+    at the lowest boundary, then the lowest robot, and returns its
+    ``(time, key)``; the event applied is that key's, so an event costs
+    O(log n + k) for k tied entries, not the 2n-1 candidates of a full
+    scan.
 
     ``e_values()`` returns a fresh list copied from the maintained
     traversing times; ``max_deviation()`` reads the same list.
@@ -310,23 +324,18 @@ class Simulation:
         self.y = [NAN] * (n - 1) + [self.L]
         self.seam_known_left = False   # robot 0 has recorded the seam
         self.seam_known_right = False  # robot n-1 has recorded the seam
-        self.t_star = compute_t_star(fleet)
-        self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._pending_changes: list[dict] = []
+        self._converged_at: float | None = None
+        self._open = n - 1  # inner boundaries still unknown
+        self._queue: list[tuple[float, int, int]] = []
+        self._version = [0] * (2 * n - 1)
+        self._derive_from_parameters()
         self.trace = Trace(
             fleet=fleet,
             t_star=self.t_star,
             initial_positions=tuple(self.p_pin),
             initial_orientations=tuple(self.o),
         ) if record_trace else None
-        self._converged_at: float | None = None
-        # incremental state: e per robot, and the number of robots whose e
-        # is not within CONVERGENCE_RTOL of t_star
-        self._recompute_e()
-        self._open = n - 1  # inner boundaries still unknown
-        self._queue: list[tuple[float, int, int]] = []
-        self._version = [0] * (2 * n - 1)
-        self._rebuild_queue()
 
     # -- validation ---------------------------------------------------
 
@@ -392,12 +401,17 @@ class Simulation:
                       - (abs(e - t_star) / t_star < CONVERGENCE_RTOL))
         self._e[i] = e
 
-    def _recompute_e(self) -> None:
-        """All of e and the out-of-rtol count, after v, r or t_star changed."""
+    def _derive_from_parameters(self) -> None:
+        """What the speeds and radii fix: t_star (as ``compute_t_star``
+        computes it), the tie window, e with the count of robots whose e is
+        not within CONVERGENCE_RTOL of t_star, and the queue."""
+        self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
+        self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._e = [NAN] * self.n
         self._off = self.n
         for i in range(self.n):
             self._update_e(i)
+        self._rebuild_queue()
 
     def _set_y(self, j: int, value: float) -> None:
         if math.isnan(self.y[j]):  # discovered: the contact across j is dead for good
@@ -412,16 +426,11 @@ class Simulation:
     def _arrival_time(self, i: int) -> float | None:
         if not self.act[i]:
             return None
-        if self.o[i] > 0:
-            target_val = self.y[i]  # y[n-1] == L
-            if math.isnan(target_val):
-                return None
-            dist = (target_val - self.r[i]) - self.p_pin[i]
-        else:
-            target_val = 0.0 if i == 0 else self.y[i - 1]
-            if math.isnan(target_val):
-                return None
-            dist = self.p_pin[i] - (target_val + self.r[i])
+        o = self.o[i]
+        # IEEE negation is exact: for o < 0 this is p - contact bit for bit
+        dist = (contact(self.y, i, o, self.r[i]) - self.p_pin[i]) * o
+        if math.isnan(dist):  # the boundary ahead is unknown
+            return None
         return self.t_pin[i] + max(dist, 0.0) / self.v[i]
 
     def _contact_time(self, j: int) -> float | None:
@@ -482,7 +491,9 @@ class Simulation:
     def next_candidate(self) -> tuple[float, int] | None:
         """The next event as ``(time, key)`` of its live queue entry: of
         the entries within ``tie_eps`` of the earliest, the one at the
-        lowest (boundary, robot), a contact before an arrival.
+        lowest boundary, then the lowest robot.  That pair is unique among
+        live entries: the contact across j is live only while y[j] is
+        unknown, and robot j's arrival at j only once it is known.
 
         Stale entries are popped off the top of the heap; the live entries
         are only read, so the call can be repeated.  When neither child of
@@ -509,9 +520,9 @@ class Simulation:
             t, key, ver = queue[k]
             if ver == version[key]:
                 if key >= n:  # the contact across boundary key - n
-                    rank = (key - n, key - n, False)
+                    rank = (key - n, key - n)
                 else:  # an arrival, at the boundary the robot faces
-                    rank = (key if o[key] > 0 else (key - 1) % n, key, True)
+                    rank = (key if o[key] > 0 else (key - 1) % n, key)
                 if rank < best_rank:
                     best, best_rank = (t, key), rank
             k = 2 * k + 1  # the children: k and k + 1
@@ -543,12 +554,8 @@ class Simulation:
     def _apply_arrival(self, i: int) -> None:
         # the boundary robot i faces: no event changes o between the peek
         # that chose this arrival and here
-        if self.o[i] > 0:
-            j = i
-            self.p_pin[i] = self.y[j] - self.r[i]  # y[n-1] == L
-        else:
-            j = (i - 1) % self.n
-            self.p_pin[i] = (0.0 if i == 0 else self.y[j]) + self.r[i]
+        j = i if self.o[i] > 0 else (i - 1) % self.n
+        self.p_pin[i] = contact(self.y, i, self.o[i], self.r[i])
         self.t_pin[i] = self.t
         if j == self.n - 1:
             if i == 0:
@@ -581,8 +588,8 @@ class Simulation:
                 lo, hi, self.v[left], self.v[right], r[left], r[right]))
         y_val = y[j]
         # re-pin both to the (possibly moved) boundary's contact points
-        self.p_pin[left] = y_val - r[left]
-        self.p_pin[right] = (0.0 if right == 0 else y_val) + r[right]
+        self.p_pin[left] = contact(y, left, 1, r[left])
+        self.p_pin[right] = contact(y, right, -1, r[right])
         self.t_pin[left] = self.t_pin[right] = t
         self.o[left] = -1
         self.o[right] = 1
@@ -593,20 +600,20 @@ class Simulation:
     def _apply_contact(self, j: int) -> None:
         t = self.t
         a, b = j, j + 1
-        # contact point from the left robot's zone edge
-        contact = self.position(a, t) + self.r[a]
-        self.p_pin[a] = contact - self.r[a]
-        self.p_pin[b] = contact + self.r[b]
+        # where the zones touch, from the left robot's zone edge
+        touch = self.position(a, t) + self.r[a]
+        self.p_pin[a] = touch - self.r[a]
+        self.p_pin[b] = touch + self.r[b]
         self.t_pin[a] = self.t_pin[b] = t
         if self.o[a] == 1 and self.o[b] == -1:
             assert self.act[a] and self.act[b], "discovery requires both robots moving"
-            self._set_y(j, contact)
+            self._set_y(j, touch)
             self.o[a] = -1
             self.o[b] = 1
             self._requeue_around(j)
-            self._record("discovery", a, b, j, contact)
+            self._record("discovery", a, b, j, touch)
         elif self.o[a] == self.o[b]:
-            self._set_y(j, contact)
+            self._set_y(j, touch)
             if self.o[a] == 1:
                 catcher, caught = a, b
             else:
@@ -615,7 +622,7 @@ class Simulation:
             self.act[catcher] = 0
             self.act[caught] = 1
             self._requeue_around(j)
-            self._record("catch", a, b, j, contact)
+            self._record("catch", a, b, j, touch)
         else:
             raise AssertionError("contact between receding robots")
 
@@ -715,17 +722,11 @@ class Simulation:
         self.t = t_change
         self.v[idx] = new_v
         self.r[idx] = new_r
-        # a parked robot re-pins to the boundary contact with the new radius
+        # a parked robot re-pins to its contact with the new radius
         if not self.act[idx]:
-            if self.o[idx] > 0:  # waiting at its right boundary
-                self.p_pin[idx] = self.y[idx] - new_r
-            else:
-                self.p_pin[idx] = (0.0 if idx == 0 else self.y[idx - 1]) + new_r
-        self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
-        self.tie_eps = TIME_EPS * self.L / sum(self.v)
+            self.p_pin[idx] = contact(self.y, idx, self.o[idx], new_r)
         self._converged_at = None
-        self._recompute_e()
-        self._rebuild_queue()
+        self._derive_from_parameters()
         if self.trace is not None:
             self.trace.converged_at = None
             self.trace.t_star = self.t_star
@@ -741,10 +742,7 @@ class Simulation:
         n = self.n
         lo = 0.0 if i == 0 else self.y[i - 1]
         hi = self.y[i]  # y[n-1] == L
-        if self.act[i]:
-            p = self.position(i, t)
-        else:  # parked at its right boundary if o > 0, else its left
-            p = hi - r_new if self.o[i] > 0 else lo + r_new
+        p = self.position(i, t) if self.act[i] else contact(self.y, i, self.o[i], r_new)
         ids = [rb.id for rb in self.fleet.robots]
         zone = f"its zone [{p - r_new}, {p + r_new}]"
         if hi - lo < 2.0 * r_new:

@@ -162,21 +162,26 @@ def _integer(doc, name: str, where: str) -> int:
 
 
 def fleet_from_dict(doc: dict) -> FleetScenario:
+    """A fleet document.  Its initial state is given for every robot, each
+    with ``p0`` and ``o0`` (-1 or +1), or for none: a robot missing a field
+    that another robot gives is a ValueError naming the robot and field."""
     robots = []
     positions = []
     orientations = []
-    have_state = True
     L = _number(doc, "L", "fleet")
-    for k, entry in enumerate(_list(doc, "robots", "fleet")):
+    entries = _list(doc, "robots", "fleet")
+    have_state = any(isinstance(entry, dict) and ("p0" in entry or "o0" in entry)
+                     for entry in entries)
+    for k, entry in enumerate(entries):
         where = f"robots[{k}]"
         rb = RobotParams(id=_integer(entry, "id", where), v=_number(entry, "v", where),
                          r=_number(entry, "r", where))
         robots.append(rb)
-        if "p0" in entry and "o0" in entry:
+        if have_state:
             positions.append(_number(entry, "p0", where))
             orientations.append(_integer(entry, "o0", where))
-        else:
-            have_state = False
+            if orientations[-1] not in (-1, 1):
+                raise ValueError(f"{where}: field 'o0' must be -1 or +1, got {entry['o0']!r}")
     cfg = FleetConfig(robots=tuple(robots), L=L)
     events = _list(doc, "events", "fleet") if "events" in doc else []
     changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(events)]

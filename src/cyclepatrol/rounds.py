@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import words
-from .engine import CONVERGENCE_RTOL, Trace, deviation
+from .engine import CONVERGENCE_RTOL, Trace, contact, deviation, kin_at
 
 SEARCH_ROUNDS = 4.0  # choose_t0 looks this many round-widths past convergence
 
@@ -28,7 +28,6 @@ class RoundState:
     t0: float
     t_round: float  # realized common traversing time used as round width
     te: tuple[float, ...]  # latest boundary-arrival time per robot
-    pos: tuple[float, ...]  # position at that arrival (a contact point)
     ori: tuple[int, ...]
     y: tuple[float, ...]  # boundary values frozen at t0 (y[n-1] = L)
     radii: tuple[float, ...]
@@ -36,6 +35,13 @@ class RoundState:
     @property
     def n(self) -> int:
         return len(self.te)
+
+    @property
+    def pos(self) -> tuple[float, ...]:
+        """Each robot's position at its latest boundary arrival, derived
+        from y, radii and ori: the contact it faces."""
+        return tuple(contact(self.y, i, o, r)
+                     for i, (o, r) in enumerate(zip(self.ori, self.radii)))
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,7 @@ def _state_at(trace: Trace, t0: float):
     if any(ch["events"] >= done and ch["t"] <= t0 for ch in trace.parameter_changes):
         raise NotConvergedError("a parameter change falls between the last event and t0")
     _, y, e, v, r, kin = step
-    return list(y), list(e), v, r, [(t0, p + vi * a * o * (t0 - t), o, a)
-                                    for vi, (t, p, o, a) in zip(v, kin)]
+    return list(y), list(e), v, r, kin_at(kin, v, t0)
 
 
 def _median(xs) -> float:
@@ -109,32 +114,14 @@ def lift_from_trace(trace: Trace, t0: float | None = None,
     if dev > CONVERGENCE_RTOL:
         raise NotConvergedError(f"deviation {dev} above tolerance {CONVERGENCE_RTOL} at t0")
     t_round = _median(e_vals)
-    te, pos, ori = [], [], []
-    for i, (_, p, o, a) in enumerate(kin):
-        left = 0.0 if i == 0 else y_vals[i - 1]
-        right = y_vals[i]  # y[n-1] == L
-        if a == 0:
-            te.append(t0)
-            pos.append(p)
-        elif o > 0:
-            contact = right - radii[i]
-            te.append(t0 + (contact - p) / speeds[i])
-            pos.append(contact)
-        else:
-            contact = left + radii[i]
-            te.append(t0 + (p - contact) / speeds[i])
-            pos.append(contact)
-        ori.append(o)
+    # a parked robot is pinned at its contact; a moving one reaches it
+    # |contact - p| / v later (times o, an exact negation, for o < 0)
+    te = tuple(t0 if a == 0 else t0 + (contact(y_vals, i, o, radii[i]) - p) * o / speeds[i]
+               for i, (_, p, o, a) in enumerate(kin))
     return RoundState(
-        k=0, t0=t0, t_round=t_round,
-        te=tuple(te), pos=tuple(pos), ori=tuple(ori),
+        k=0, t0=t0, t_round=t_round, te=te, ori=tuple(o for _, _, o, _ in kin),
         y=tuple(y_vals), radii=tuple(radii),
     )
-
-
-def meeting_pairs(state: RoundState) -> list[int]:
-    w = words.Word(tuple(state.ori))
-    return words.meeting_pairs(w)
 
 
 def is_interlaced(state: RoundState) -> tuple[bool, list[int]]:
@@ -142,23 +129,19 @@ def is_interlaced(state: RoundState) -> tuple[bool, list[int]]:
 
 
 def step_round(state: RoundState) -> tuple[RoundState, MeetingSet]:
-    """One round: adjacent (+,-) pairs meet and swap to opposite contacts."""
+    """One round: adjacent (+,-) pairs meet and swap to opposite contacts
+    (``pos`` follows ``ori``)."""
     n = state.n
     te = list(state.te)
-    pos = list(state.pos)
     ori = list(state.ori)
     meetings = []
-    for j in meeting_pairs(state):
+    for j in words.meeting_pairs(words.Word(tuple(state.ori))):
         left, right = j, (j + 1) % n
         m = max(state.te[left], state.te[right])
         meetings.append((j, m))
         te[left] = te[right] = m + state.t_round
         ori[left], ori[right] = -1, 1
-        left_val = 0.0 if left == 0 else state.y[left - 1]
-        right_val = state.y[right]  # y[n-1] = L; right robot heads to its right bound
-        pos[left] = left_val + state.radii[left]
-        pos[right] = right_val - state.radii[right]
-    nxt = replace(state, k=state.k + 1, te=tuple(te), pos=tuple(pos), ori=tuple(ori))
+    nxt = replace(state, k=state.k + 1, te=tuple(te), ori=tuple(ori))
     return nxt, MeetingSet(meetings=tuple(sorted(meetings)))
 
 
@@ -243,9 +226,8 @@ def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
     for ms in sets:
         for j, m in ms.meetings:
             left, right = j, (j + 1) % state.n
-            bound = state.y[j]  # y[n-1] == L
-            model.append((m, j, bound - state.radii[left],
-                          (0.0 if right == 0 else bound) + state.radii[right]))
+            model.append((m, j, contact(state.y, left, 1, state.radii[left]),
+                          contact(state.y, right, -1, state.radii[right])))
     engine = []
     for ev in trace.events:
         if ev.kind == "meeting" and state.t0 < ev.time <= t_end:

@@ -273,6 +273,31 @@ class TestSimulate:
         assert (f"robots[1]: field '{field}' must be an integer, got {value!r}"
                 in capsys.readouterr().err)
 
+    def test_partial_initial_state_exits_2(self, fig3_fleet_file, tmp_path, capsys):
+        # such a file used to run from a random start, exit 0
+        doc = json.loads(fig3_fleet_file.read_text())
+        doc["robots"][0]["p0"] = 100.0
+        doc["robots"][1].update(p0=400.0, o0=-1)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert "robots[0]: missing field 'o0'" in capsys.readouterr().err
+        del doc["robots"][0]["p0"]
+        p.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")]) == 2
+        assert "robots[0]: missing field 'p0'" in capsys.readouterr().err
+
+    def test_orientation_zero_names_its_field(self, fig3_fleet_file, tmp_path, capsys):
+        doc = json.loads(fig3_fleet_file.read_text())
+        for rb, p0, o0 in zip(doc["robots"], [100.0, 400.0, 600.0, 820.0], [1, 0, 1, -1]):
+            rb.update(p0=p0, o0=o0)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert "robots[1]: field 'o0' must be -1 or +1, got 0" in capsys.readouterr().err
+
     def test_change_breaking_a3_exits_2(self, tmp_path, capsys):
         # at t=4200 robot 2 patrols [100, 200]; r=45 puts its zone over y0
         doc = {"L": 400.0, "robots": [{"id": i + 1, "v": 1.0, "r": 10.0} for i in range(4)],

@@ -15,6 +15,7 @@ from cyclepatrol.engine import (
     AssumptionError,
     Simulation,
     boundary_consensus_update,
+    contact,
     random_initial_state,
 )
 from cyclepatrol.fleet import FleetConfig, RobotParams, StaticallyCoverableError
@@ -403,12 +404,12 @@ def test_deadlock_unreachable_on_random_instances(rng):
 def scan_next_candidate(sim):
     """Reference scheduler: every arrival and contact time computed
     afresh; of those within the simulation's tie tolerance of the
-    earliest, the lowest (boundary, robot), a contact before an arrival.
+    earliest, the one at the lowest boundary, then the lowest robot.
     Returns ``(time, key)`` like ``next_candidate``."""
     n = sim.n
-    cands = [(sim._arrival_time(i), i, (i if sim.o[i] > 0 else (i - 1) % n, i, 1))
+    cands = [(sim._arrival_time(i), i, (i if sim.o[i] > 0 else (i - 1) % n, i))
              for i in range(n)]
-    cands += [(sim._contact_time(j), n + j, (j, j, 0)) for j in range(n - 1)]
+    cands += [(sim._contact_time(j), n + j, (j, j)) for j in range(n - 1)]
     cands = [c for c in cands if c[0] is not None]
     if not cands:
         return None
@@ -517,7 +518,9 @@ def test_replay_cursor_matches_engine_state(run):
     the last event), the trace's replay cursor holds the engine's y, e,
     speeds, radii and every robot's pinned state (t_pin, p_pin, o, act)
     bit for bit, and yields new speeds and radii tuples exactly at the
-    first event and the events with logged changes before them."""
+    first event and the events with logged changes before them.  After
+    every event and change each parked robot is pinned at its contact bit
+    for bit, which lets the round model derive positions, not store them."""
     cfg, pos, ori, ops = run
     sim = Simulation(cfg, pos, ori)
     held = []
@@ -525,6 +528,9 @@ def test_replay_cursor_matches_engine_state(run):
     def advance(call):
         events = len(sim.trace.events)
         call()
+        for i in range(sim.n):
+            if not sim.act[i]:
+                assert sim.p_pin[i].hex() == contact(sim.y, i, sim.o[i], sim.r[i]).hex()
         if len(sim.trace.events) > events:
             kin = [(t.hex(), p.hex(), o, a)
                    for t, p, o, a in zip(sim.t_pin, sim.p_pin, sim.o, sim.act)]

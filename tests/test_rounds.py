@@ -24,14 +24,8 @@ def synthetic_state(ori, te, t_round=1.0, y=None, radii=None, t0=0.0):
     n = len(ori)
     y = y or tuple(float(k + 1) for k in range(n))
     radii = radii or tuple(0.0 for _ in range(n))
-    pos = []
-    for i, o in enumerate(ori):
-        left = 0.0 if i == 0 else y[i - 1]
-        right = y[i]
-        pos.append(right - radii[i] if o > 0 else left + radii[i])
     return RoundState(k=0, t0=t0, t_round=t_round, te=tuple(te),
-                      pos=tuple(pos), ori=tuple(ori), y=tuple(y),
-                      radii=tuple(radii))
+                      ori=tuple(ori), y=tuple(y), radii=tuple(radii))
 
 
 class TestStepRound:
@@ -103,8 +97,8 @@ class TestSynchronization:
         states, _ = run_rounds(st, 4)
         broken = states[:3] + [
             RoundState(k=3, t0=0.0, t_round=1.0,
-                       te=(3.5, 3.5, 3.5, 9.9), pos=states[3].pos,
-                       ori=states[3].ori, y=states[3].y, radii=states[3].radii)
+                       te=(3.5, 3.5, 3.5, 9.9), ori=states[3].ori,
+                       y=states[3].y, radii=states[3].radii)
         ]
         rep = check_synchronization(broken)
         assert not rep.ok
