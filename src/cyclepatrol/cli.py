@@ -39,9 +39,8 @@ class _Parser(argparse.ArgumentParser):
 def cmd_tour(args) -> int:
     try:
         tasks = scenario.load_tasks_json(args.tasks)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.tasks}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        return _cannot("read", args.tasks, exc)
     except (ValueError, KeyError) as exc:
         print(f"error: bad task file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -52,7 +51,7 @@ def cmd_tour(args) -> int:
     try:
         scenario.save_graph_json(graph, args.output)
     except OSError as exc:
-        return _cannot_write(args.output, exc)
+        return _cannot("write", args.output, exc)
     print(f"{args.method} tour over {len(tasks.tasks)} tasks: "
           f"L = {graph.total_length:.9f} -> {args.output}")
     return EXIT_OK
@@ -63,8 +62,8 @@ def _bad_flag(flag: str, message: str) -> int:
     return EXIT_VALIDATION
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+def _cannot(verb: str, path, exc: OSError) -> int:
+    print(f"error: cannot {verb} {path}: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -75,9 +74,8 @@ def cmd_simulate(args) -> int:
         return _bad_flag("--events", f"must be >= 0, got {args.events}")
     try:
         spec = load_fleet_json(args.fleet)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.fleet}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        return _cannot("read", args.fleet, exc)
     except (ValueError, KeyError) as exc:
         print(f"error: bad fleet file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -114,7 +112,7 @@ def cmd_simulate(args) -> int:
         report.write_json(outdir / "report.json")
         metrics.write_plot_data(sim.trace, outdir / "plot_data.csv")
     except OSError as exc:
-        return _cannot_write(outdir, exc)
+        return _cannot("write", outdir, exc)
     print(f"t_star = {report.t_star:.9f} s, t_rev predicted = "
           f"{report.t_rev_predicted:.9f} s, n_bal = {report.n_bal}")
     for v in report.verdicts:
@@ -196,7 +194,7 @@ def cmd_sweep(args) -> int:
                          f"{row['t_rev_predicted']:.9f},{row['t_rev_measured']:.9f},"
                          f"{row['rel_err']:.9f}\n")
     except OSError as exc:
-        return _cannot_write(args.output, exc)
+        return _cannot("write", args.output, exc)
     print(f"{len(rows)} sweep points -> {args.output}")
     return EXIT_OK
 

@@ -344,8 +344,9 @@ class Simulation:
         NaN, so a NaN start position is rejected, naming its robot."""
         n = self.n
         ids = [rb.id for rb in self.fleet.robots]
-        if any(o not in (-1, 1) for o in orientations):
-            raise AssumptionError("orientations must be -1 or +1")
+        for rid, o in zip(ids, orientations):
+            if o not in (-1, 1):
+                raise AssumptionError(f"robot {rid}: orientation must be -1 or +1, got {o}")
         if len(set(orientations)) < 2:
             raise AssumptionError("A2 violated: all robots share one orientation")
         for i in range(n - 1):
@@ -761,14 +762,12 @@ class Simulation:
 
 
 def random_initial_state(cfg: FleetConfig, rng: random.Random,
-                         n_minus: int | None = None,
-                         orientations: list[int] | None = None):
+                         n_minus: int | None = None):
     """Random sorted positions with disjoint zones, plus orientations.
 
     Slack between zones is drawn from a uniform Dirichlet split, so zones
-    never overlap or straddle the seam.  Orientation signs: explicit list,
-    or a random subset of ``n_minus`` robots oriented backward (default
-    n // 2).
+    never overlap or straddle the seam.  A random subset of ``n_minus``
+    robots (default n // 2) is oriented backward.
     """
     n = cfg.n
     slack = cfg.free_length
@@ -781,10 +780,8 @@ def random_initial_state(cfg: FleetConfig, rng: random.Random,
         x += gaps[i] + rb.r
         positions.append(x)
         x += rb.r
-    if orientations is None:
-        k = n // 2 if n_minus is None else n_minus
-        if not 1 <= k <= n - 1:
-            raise AssumptionError("A2 violated: need both orientations present")
-        backward = set(rng.sample(range(n), k))
-        orientations = [-1 if i in backward else 1 for i in range(n)]
-    return positions, orientations
+    k = n // 2 if n_minus is None else n_minus
+    if not 1 <= k <= n - 1:
+        raise AssumptionError("A2 violated: need both orientations present")
+    backward = set(rng.sample(range(n), k))
+    return positions, [-1 if i in backward else 1 for i in range(n)]

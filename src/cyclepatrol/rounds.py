@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from . import words
 from .engine import CONVERGENCE_RTOL, Trace, contact, deviation, kin_at
 
-SEARCH_ROUNDS = 4.0  # choose_t0 looks this many round-widths past convergence
+SEARCH_ROUNDS = 4.0  # choose_t0 searches this many round-widths of the trace
 
 
 class NotConvergedError(RuntimeError):
@@ -72,16 +72,16 @@ def _median(xs) -> float:
     return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
 
 
-def choose_t0(trace: Trace, after: float | None = None) -> float:
-    """Midpoint of the largest event-free gap shortly after convergence.
+def choose_t0(trace: Trace) -> float:
+    """Midpoint of the largest event-free gap in the trace's last rounds.
 
-    The search is capped to SEARCH_ROUNDS round-widths past ``after`` (default:
-    the convergence time) so the lifted model has trace left to compare
-    against; callers that converged deeper pass a later ``after``.
+    The search spans SEARCH_ROUNDS round-widths from that many before the
+    last event, or from the convergence time if that is later, so the
+    lifted model starts where the run converged deepest.
     """
     if trace.converged_at is None:
         raise NotConvergedError("trace never reached the convergence criterion")
-    t_c = trace.converged_at if after is None else after
+    t_c = max(trace.converged_at, trace.events[-1].time - SEARCH_ROUNDS * trace.t_star)
     horizon = t_c + SEARCH_ROUNDS * trace.t_star
     times = [ev.time for ev in trace.events if t_c <= ev.time <= horizon]
     if len(times) < 2:
@@ -95,8 +95,7 @@ def choose_t0(trace: Trace, after: float | None = None) -> float:
     return best_mid
 
 
-def lift_from_trace(trace: Trace, t0: float | None = None,
-                    after: float | None = None) -> RoundState:
+def lift_from_trace(trace: Trace, t0: float | None = None) -> RoundState:
     """Initial round state from a converged trace.
 
     The state at t0 must be within CONVERGENCE_RTOL of t_star.  Waiting
@@ -108,7 +107,7 @@ def lift_from_trace(trace: Trace, t0: float | None = None,
     if trace.converged_at is None:
         raise NotConvergedError("trace never reached the convergence criterion")
     if t0 is None:
-        t0 = choose_t0(trace, after=after)
+        t0 = choose_t0(trace)
     y_vals, e_vals, speeds, radii, kin = _state_at(trace, t0)
     dev = deviation(e_vals, trace.t_star)
     if dev > CONVERGENCE_RTOL:

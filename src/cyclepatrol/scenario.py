@@ -80,8 +80,6 @@ def mst_edges(tasks: TaskSet) -> list[tuple[int, int]]:
     (and hence the tour) is reproducible."""
     items = sorted(tasks.tasks, key=lambda t: t[0])
     m = len(items)
-    if m == 1:
-        return []
     in_tree = [False] * m
     in_tree[0] = True
     edges: list[tuple[int, int]] = []
@@ -106,28 +104,27 @@ def build_tour_mst(tasks: TaskSet) -> CycleGraph:
     """Closed walk from a depth-first traversal of the Euclidean MST with
     every edge duplicated; total length equals twice the tree weight."""
     items = sorted(tasks.tasks, key=lambda t: t[0])
-    if len(items) == 1:
-        return CycleGraph(
-            waypoints=(items[0][1],), cumulative_lengths=(0.0,), total_length=0.0
-        )
-    adj: dict[int, list[int]] = {i: [] for i in range(len(items))}
-    for i, j in mst_edges(tasks):
-        adj[i].append(j)
-        adj[j].append(i)
-    for i in adj:
-        adj[i].sort(key=lambda j: items[j][0])
-    walk: list[Point] = []
-
-    def visit(i: int, parent: int | None):
-        walk.append(items[i][1])
-        for j in adj[i]:
-            if j != parent:
-                visit(j, i)
-                walk.append(items[i][1])
-
-    visit(0, None)
+    # Prim's edges run from a task already in the tree, so from the root 0
+    # each edge (i, j) leads from parent i to child j; index order is id order
+    children: dict[int, list[int]] = {i: [] for i in range(len(items))}
+    for i, j in sorted(mst_edges(tasks), key=lambda e: e[1]):
+        children[i].append(j)
+    # depth first with an explicit stack (a deep tree would overflow
+    # Python's recursion limit): children in id order, back to the parent
+    # after each child
+    walk: list[Point] = [items[0][1]]
+    stack = [(0, iter(children[0]))]
+    while stack:
+        j = next(stack[-1][1], None)
+        if j is None:
+            stack.pop()
+            if stack:
+                walk.append(items[stack[-1][0]][1])
+        else:
+            walk.append(items[j][1])
+            stack.append((j, iter(children[j])))
     # the Euler walk ends back at the root; the closing edge has length 0
-    if len(walk) > 1 and walk[-1] == walk[0]:
+    if len(walk) > 1:
         walk.pop()
     return _graph_from_walk(walk)
 
@@ -136,10 +133,6 @@ def build_tour_nn(tasks: TaskSet) -> CycleGraph:
     """Nearest-neighbor tour starting at the lowest task id, closed back
     to the start; distance ties go to the lower id."""
     items = sorted(tasks.tasks, key=lambda t: t[0])
-    if len(items) == 1:
-        return CycleGraph(
-            waypoints=(items[0][1],), cumulative_lengths=(0.0,), total_length=0.0
-        )
     remaining = list(range(1, len(items)))
     order = [0]
     while remaining:

@@ -167,10 +167,13 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
 
 # -- word-calculus suite ---------------------------------------------------
 
-def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word],
-                 table: dict[tuple[int, ...], words.Transition]) -> None:
+def _word_checks(w: words.Word, probed: set[words.Word],
+                 table: dict[tuple[int, ...], words.Transition]) -> int:
     """Evolve one word to its interlaced configuration, checking every
-    lemma-level property along the way.
+    lemma-level property on the round it happens, and return the rounds
+    taken.  Each check reads only the step just taken; what a later round
+    needs (when and at what length a sequence began reducing, which
+    sequences are doomed) is carried forward, never looked up.
 
     Every check runs on every start word; ``table`` only spares
     recomputing a transition already seen.  An entry is a pure function
@@ -188,79 +191,61 @@ def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word],
     first start word that reaches it.
     """
     n = w.n
+    # The collaborative-rule lemmas are oriented for a '+' majority; for a
+    # '-' majority the dynamics mirror and Move+ plays the doomed role.
+    plus_majority = w.n_plus >= w.n_minus
+    doomed_rule = words.Rule.MOVE_MINUS if plus_majority else words.Rule.MOVE_PLUS
+    forbidden_after = (words.Rule.MOVE_PLUS if plus_majority else words.Rule.MOVE_MINUS,
+                       words.Rule.EXPAND)
+    reducing = (words.Rule.REDUCE, words.Rule.DISAPPEAR)
+    began_reducing: dict[int, tuple[int, int]] = {}  # id -> (round, length then)
+    doomed: set[int] = set()  # the taint survives merges
     ev = words.TrackedEvolution(w, table)
-    rounds_taken = 0
     while not words.is_interlaced(ev.word)[0]:
-        if rounds_taken >= n:
+        if ev.round >= n:
             raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
-        prev_count = len(ev.ids)
-        prev_spans = dict(ev.ids)
+        prev_spans = ev.ids  # a step replaces ids, so this stays the old round's
         ev.step()
-        rounds_taken += 1
-        if len(ev.ids) > prev_count:
+        if len(ev.ids) > len(prev_spans):
             raise words.CalculusViolation(f"{w}: sequence count grew")
         # speed limit: spans move at most one position per round (a merged
         # span's start comes from the absorbed partner, so skip those)
         for sid, (st, ln) in ev.ids.items():
             if (sid in prev_spans and ln < n
-                    and ev.rules[-1].get(sid) != words.Rule.MERGE):
-                pst, _pln = prev_spans[sid]
+                    and ev.rules.get(sid) != words.Rule.MERGE):
+                pst = prev_spans[sid][0]
                 moves = {(pst - 1) % n, pst % n, (pst + 1) % n}
                 if st not in moves:
                     raise words.CalculusViolation(f"{w}: sequence {sid} jumped")
-    if rounds_taken >= max(w.n_bal, 1):
-        raise words.CalculusViolation(
-            f"{w} took {rounds_taken} rounds, bound is {w.n_bal}"
-        )
-    res_counters["words"] += 1
-    res_counters["max_rounds"] = max(res_counters["max_rounds"], rounds_taken)
-
-    # The collaborative-rule lemmas are oriented for a '+' majority; for a
-    # '-' majority the dynamics mirror and Move+ plays the doomed role.
-    plus_majority = w.n_plus >= w.n_minus
-    doomed_rule = words.Rule.MOVE_MINUS if plus_majority else words.Rule.MOVE_PLUS
-    forbidden_after = (
-        (words.Rule.MOVE_PLUS, words.Rule.EXPAND)
-        if plus_majority
-        else (words.Rule.MOVE_MINUS, words.Rule.EXPAND)
-    )
-    # rule persistence per sequence id; doomed taint survives merges
-    seen_reduce: dict[int, int] = {}
-    doomed: set[int] = set()
-    for k, rules in enumerate(ev.rules):
-        for sid, rule in rules.items():
-            if sid in seen_reduce:
-                if rule not in (words.Rule.REDUCE, words.Rule.DISAPPEAR):
+        for sid, rule in ev.rules.items():
+            if sid in began_reducing:
+                if rule not in reducing:
                     raise words.CalculusViolation(
                         f"{w}: sequence {sid} stopped reducing ({rule})"
                     )
-            if rule in (words.Rule.REDUCE, words.Rule.DISAPPEAR) and sid not in seen_reduce:
-                seen_reduce[sid] = ev.history[k][sid]  # length when it first reduced
+            elif rule in reducing:
+                began_reducing[sid] = (ev.round - 1, prev_spans[sid][1])
             if rule == doomed_rule:
                 doomed.add(sid)
             if sid in doomed and rule in forbidden_after:
                 raise words.CalculusViolation(
                     f"{w}: sequence {sid} ran {rule} after {doomed_rule}"
                 )
-        for group in ev.merge_groups[k]:
+        for group in ev.merges:
             if group & doomed:
                 doomed.add(min(group))
-    # a sequence that reduces from length l dies after exactly l/2 rounds
-    for sid, l0 in seen_reduce.items():
-        death = None
-        start = None
-        for k, lengths in enumerate(ev.history):
-            if sid in lengths and lengths[sid] == 0:
-                death = k
-                break
-        for k, rules in enumerate(ev.rules):
-            if rules.get(sid) in (words.Rule.REDUCE, words.Rule.DISAPPEAR):
-                start = k
-                break
-        if death is not None and start is not None and death - start != l0 // 2:
-            raise words.CalculusViolation(
-                f"{w}: sequence {sid} reduced from {l0} in {death - start} rounds"
-            )
+        # a sequence that reduces from length l dies after exactly l/2 rounds
+        for sid, length in ev.lengths.items():
+            if length == 0 and sid in began_reducing:
+                start, l0 = began_reducing[sid]
+                if ev.round - start != l0 // 2:
+                    raise words.CalculusViolation(
+                        f"{w}: sequence {sid} reduced from {l0} in {ev.round - start} rounds"
+                    )
+    if ev.round >= max(w.n_bal, 1):
+        raise words.CalculusViolation(
+            f"{w} took {ev.round} rounds, bound is {w.n_bal}"
+        )
     # sequences that ran the doomed direction never reach interlacing
     for sid in doomed:
         if sid in ev.ids:
@@ -278,11 +263,12 @@ def _word_checks(w: words.Word, res_counters: dict, probed: set[words.Word],
         probe = words.TrackedEvolution(final, table)
         for _ in range(min(n, 6)):
             probe.step()
-            if any(r != absorbing for r in probe.rules[-1].values()):
+            if any(r != absorbing for r in probe.rules.values()):
                 raise words.CalculusViolation(
                     f"{w}: interlaced word not in {absorbing} regime"
                 )
         probed.add(final)
+    return ev.round
 
 
 def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
@@ -294,7 +280,7 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
     words of its own length.
     """
     res = SuiteResult("words-exhaustive")
-    counters = {"words": 0, "max_rounds": 0}
+    count = max_rounds = 0
     probed: set[words.Word] = set()
     violation = None
     for n in range(2, max_n + 1):
@@ -304,15 +290,15 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
             if w.n_bal == 0:
                 continue
             try:
-                _word_checks(w, counters, probed, table)
+                max_rounds = max(max_rounds, _word_checks(w, probed, table))
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break
+            count += 1
         if violation:
             break
     res.add("exhaustive_calculus", violation is None,
-            violation or f"{counters['words']} words <= n={max_n}, "
-                         f"max {counters['max_rounds']} rounds")
+            violation or f"{count} words <= n={max_n}, max {max_rounds} rounds")
     return res
 
 
@@ -407,9 +393,7 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         n_minus = rng.randint(1, n - 1)
         sim = converged_simulation(cfg, seed=seed * 1000 + k, n_minus=n_minus,
                                    rtol=1e-11)
-        # lift where the deep-convergence run ended, not at the 1e-3 crossing
-        lift_after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        state = rounds.lift_from_trace(sim.trace, after=lift_after)
+        state = rounds.lift_from_trace(sim.trace)
         horizon = state.t0 + (n_rounds + 2) * state.t_round
         sim.run_until(t_end=horizon)
         rep = rounds.compare_with_engine(sim.trace, n_rounds=n_rounds, tol=tol,

@@ -269,11 +269,13 @@ Transition = tuple[Word, SequenceDecomposition, tuple[Rule, ...], tuple[int, ...
 class TrackedEvolution:
     """Step a word while tracking sequence identities across rounds.
 
-    Merged groups keep the lowest member id; disappeared ids report a
-    final length of 0.  Used for rule-by-rule lemma checks and for the
-    length-history output.  Each round steps and decomposes the word
-    once: the current word's decomposition carries over from the round
-    that produced it.
+    Merged groups keep the lowest member id.  Only the last step is kept:
+    ``lengths`` maps each id to its length after it (0 for an id that
+    disappeared or merged away; the start lengths before any step),
+    ``rules`` maps each id before it to the rule it ran, and ``merges``
+    lists the id groups that merged.  Each round steps and decomposes
+    the word once: the current word's decomposition carries over from
+    the round that produced it.
 
     ``table``, when given, maps a word's letters to its `Transition` and is
     shared by every evolution a caller builds.  This is exact: a transition
@@ -293,9 +295,9 @@ class TrackedEvolution:
         self.decomposition = decompose(w)
         # ids are listed in the order of self.decomposition.sequences
         self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.decomposition.sequences))
-        self.history: list[dict[int, int]] = [{k: span[1] for k, span in self.ids.items()}]
-        self.rules: list[dict[int, Rule]] = []
-        self.merge_groups: list[list[set[int]]] = []
+        self.lengths: dict[int, int] = {k: span[1] for k, span in self.ids.items()}
+        self.rules: dict[int, Rule] = {}
+        self.merges: list[set[int]] = []
         self._table = table
 
     def _transition(self) -> Transition:
@@ -336,25 +338,24 @@ class TrackedEvolution:
         self.decomposition = dec2
         self.round += 1
         self.ids = new_ids
-        self.history.append(lengths)
-        self.rules.append(dict(zip(sids, rules)))
-        self.merge_groups.append(groups)
+        self.lengths = lengths
+        self.rules = dict(zip(sids, rules))
+        self.merges = groups
         return w2
 
 
-def evolve_until_interlaced(w: Word, max_rounds: int | None = None):
+def evolve_until_interlaced(w: Word):
     """Iterate rounds until the word is interlaced.
 
     Returns (rounds_taken, history) where history[k] maps sequence id to
     its length at round k (0 on the round it disappears).  Raises
     CalculusViolation if interlacing takes n rounds or more.
     """
-    cap = max_rounds if max_rounds is not None else w.n
     ev = TrackedEvolution(w)
-    rounds = 0
+    history = [ev.lengths]
     while not is_interlaced(ev.word)[0]:
-        if rounds >= cap:
-            raise CalculusViolation(f"word {w} not interlaced after {rounds} rounds")
+        if ev.round >= w.n:
+            raise CalculusViolation(f"word {w} not interlaced after {ev.round} rounds")
         ev.step()
-        rounds += 1
-    return rounds, ev.history
+        history.append(ev.lengths)
+    return ev.round, history

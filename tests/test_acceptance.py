@@ -51,8 +51,7 @@ def _converged_balanced_run(seed):
     pos, ori = random_initial_state(cfg, rng, n_minus=4)
     sim = Simulation(cfg, pos, ori)
     run_to_deep_convergence(sim, rtol=1e-10)
-    after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-    state = rounds.lift_from_trace(sim.trace, after=after)
+    state = rounds.lift_from_trace(sim.trace)
     sim.run_until(t_end=state.t0 + 30.0 * state.t_round)
     return sim, state
 
@@ -109,8 +108,7 @@ def test_criterion_3_unbalanced_performance():
         pos, ori = random_initial_state(cfg, rng, n_minus=n_bal)
         sim = Simulation(cfg, pos, ori)
         run_to_deep_convergence(sim, rtol=1e-10)
-        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        state = rounds.lift_from_trace(sim.trace, after=after)
+        state = rounds.lift_from_trace(sim.trace)
         window_rounds = 10 * n
         sim.run_until(t_end=state.t0 + (window_rounds + 1) * state.t_round)
         # windowed inter-meeting averages at n t_star / n_bal
@@ -173,6 +171,7 @@ def test_criterion_5_rewrite_calculus_soundness():
     res = verify.words_exhaustive_suite(max_n=12)
     elapsed = time.perf_counter() - start
     assert res.ok, res.summary_lines()
+    assert res.checks[0][2] == "8166 words <= n=12, max 5 rounds"
     assert elapsed < 30.0
     _report(5, "rewrite calculus", res.checks[0][2] + f" in {elapsed:.1f}s")
 

@@ -452,6 +452,18 @@ def test_unwritable_output_exits_1(square_tasks, fig3_fleet_file, tmp_path, comm
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["tour", "simulate"])
+@pytest.mark.parametrize("blocker", ["directory", "missing"])
+def test_unreadable_input_exits_1(tmp_path, command, blocker):
+    src = tmp_path / "in"
+    if blocker == "directory":
+        src.mkdir()
+    proc = run_module(command, str(src), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert f"error: cannot read {src}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point():
     proc = run_module("verify", "--suite", "rounds", "--instances", "1")
     assert proc.returncode == 0, proc.stderr

@@ -43,6 +43,12 @@ class TestInitValidation:
         with pytest.raises(AssumptionError, match="A2"):
             two_robot_sim(o=(1, 1))
 
+    def test_bad_orientation_names_the_robot(self):
+        with pytest.raises(AssumptionError,
+                           match=r"^robot 2: orientation must be -1 or \+1, got 0$"):
+            Simulation(make_fleet([1, 1, 1], [1.0, 1.0, 1.0], 100.0),
+                       [10.0, 40.0, 70.0], [1, 0, -1])
+
     def test_overlapping_zones_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
             Simulation(make_fleet([1, 1], [6.0, 6.0], 100.0), [10.0, 20.0], [1, -1])

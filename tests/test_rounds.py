@@ -124,8 +124,7 @@ class TestLift:
 
     def test_lift_state_shape(self, converged_sim):
         sim = converged_sim
-        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        st = lift_from_trace(sim.trace, after=after)
+        st = lift_from_trace(sim.trace)
         n = sim.n
         assert st.k == 0
         assert st.t_round == pytest.approx(sim.t_star, rel=1e-6)
@@ -138,8 +137,7 @@ class TestLift:
 
     def test_waiting_robot_te_is_t0(self, converged_sim):
         sim = converged_sim
-        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        t0 = rounds.choose_t0(sim.trace, after=after)
+        t0 = rounds.choose_t0(sim.trace)
         *_, snap_states = rounds._state_at(sim.trace, t0)
         st = lift_from_trace(sim.trace, t0=t0)
         for i, (_, _, _, a) in enumerate(snap_states):
@@ -148,8 +146,7 @@ class TestLift:
 
     def test_engine_equivalence_100_rounds(self, converged_sim):
         sim = converged_sim
-        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        st = lift_from_trace(sim.trace, after=after)
+        st = lift_from_trace(sim.trace)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
         rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
@@ -188,8 +185,7 @@ class TestLiftAcrossChanges:
         sim.schedule_parameter_change(9000.0, 2, r=12.5)
         sim.run_until(t_end=9000.0)
         run_to_deep_convergence(sim, rtol=1e-11)
-        after = max(sim.trace.converged_at, sim.t - 4.0 * sim.t_star)
-        st = lift_from_trace(sim.trace, after=after)
+        st = lift_from_trace(sim.trace)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
         rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)

@@ -91,6 +91,12 @@ class TestMstTour:
         g = build_tour_mst(tasks((1, 1), (1, 1), (4, 5)))
         assert g.total_length == pytest.approx(10.0, rel=1e-12)
 
+    def test_deep_tree_walks_without_recursion(self):
+        # a path tree 1,100 tasks deep, past Python's default recursion limit
+        g = build_tour_mst(tasks(*[(x, 0) for x in range(1100)]))
+        assert g.total_length == 2198.0
+        assert len(g.waypoints) == 2 * 1100 - 2
+
 
 class TestNnTour:
     def test_unit_square_perimeter(self):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -233,14 +234,14 @@ class TestTrackedEvolution:
                 expected = {(l.start, l.length): l.rule
                             for l in classify_transition(ev.word, step_word(ev.word))}
                 ev.step()
-                got = {spans[sid]: rule for sid, rule in ev.rules[-1].items()}
+                got = {spans[sid]: rule for sid, rule in ev.rules.items()}
                 assert got == expected, f"{w} round {ev.round}"
                 assert ev.decomposition == decompose(ev.word)
 
     @staticmethod
     def _state(ev):
-        return (ev.round, ev.word, ev.decomposition, ev.ids, ev.history, ev.rules,
-                ev.merge_groups)
+        return (ev.round, ev.word, ev.decomposition, ev.ids, ev.lengths, ev.rules,
+                ev.merges)
 
     def test_shared_table_matches_fresh_steps(self):
         # the exhaustive suite's pattern: one table per length, shared by
@@ -318,7 +319,7 @@ class TestExhaustiveSuite:
             if probing:
                 probes.append(w2)
                 if break_it:
-                    ev.rules[-1] = {sid: Rule.EXPAND for sid in ev.rules[-1]}
+                    ev.rules = {sid: Rule.EXPAND for sid in ev.rules}
             return w2
 
         monkeypatch.setattr(TrackedEvolution, "step", step)
@@ -353,3 +354,77 @@ def test_word_sizes_and_letter_check():
     for bad in [(1, 0), (1, 2), (1, float("nan")), (1, "+")]:
         with pytest.raises(ValueError, match="letters must be"):
             Word(bad)
+
+
+def _late_death(ev, before, last):
+    # hide each Disappear's 0, then report it one round later
+    for sid, rule in ev.rules.items():
+        if rule == Rule.DISAPPEAR:
+            del ev.lengths[sid]
+    for sid, rule in last.items():
+        if rule == Rule.DISAPPEAR:
+            ev.lengths[sid] = 0
+
+
+def _reducing_as_move_plus(ev, before, last):
+    for sid, rule in last.items():
+        if rule == Rule.REDUCE:
+            ev.rules[sid] = Rule.MOVE_PLUS
+            return
+
+
+def _doomed_as_expand(ev, before, last):
+    w = ev.word
+    doomed = Rule.MOVE_MINUS if w.n_plus >= w.n_minus else Rule.MOVE_PLUS
+    for sid, rule in last.items():
+        if rule == doomed and sid in ev.rules:
+            ev.rules[sid] = Rule.EXPAND
+            return
+
+
+def _start_shifted_by_2(ev, before, last):
+    n = ev.word.n
+    for sid, (st, ln) in ev.ids.items():
+        if sid in before and ln < n and ev.rules[sid] != Rule.MERGE:
+            pst = before[sid][0]
+            if (st + 2 - pst) % n not in (n - 1, 0, 1):
+                ev.ids[sid] = ((st + 2) % n, ln)
+                return
+
+
+def _extra_id(ev, before, last):
+    if len(ev.ids) == len(before):
+        ev.ids[max(before) + 1] = (0, 2)
+
+
+class TestEachRoundCheckFires:
+    """Falsify one round of what `TrackedEvolution.step` reports; the
+    exhaustive suite must reject it with that round's message.  Words of
+    up to 7 letters run no Move+, Move- or Reduce, so the suite runs to 8."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_reducing_as_move_plus, r"sequence \d+ stopped reducing \(Move\+\)"),
+        (_doomed_as_expand, r"sequence \d+ ran Expand after Move[+-]"),
+        (_start_shifted_by_2, r"sequence \d+ jumped"),
+        (_extra_id, r"sequence count grew"),
+        (_late_death, r"sequence \d+ reduced from \d+ in \d+ rounds"),
+    ])
+    def test_corrupted_round_fails(self, monkeypatch, corrupt, message):
+        # corrupt(ev, before, last) sees the ids before the step and the
+        # rules the same evolution reported one step earlier
+        original = TrackedEvolution.step
+        memo = {"ev": None, "rules": {}}
+
+        def step(ev):
+            before = ev.ids
+            w2 = original(ev)
+            last = memo["rules"] if memo["ev"] is ev else {}
+            memo["ev"], memo["rules"] = ev, dict(ev.rules)
+            corrupt(ev, before, last)
+            return w2
+
+        monkeypatch.setattr(TrackedEvolution, "step", step)
+        res = verify.words_exhaustive_suite(max_n=8)
+        assert not res.ok
+        [(name, ok, detail)] = res.checks
+        assert re.fullmatch(r"[+-]+: " + message, detail), detail
