@@ -2,8 +2,9 @@
 and parameter sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (violated
-assumptions or premise), 3 property-suite failure, or a ``simulate`` run
-to deep convergence that does not converge.
+assumptions or premise), 3 property-suite failure, or a default
+``simulate`` run that does not converge, first and, when a scheduled
+parameter change still lies ahead, again after the last change.
 
 ``simulate``, ``tour``, ``sweep`` and the rounds and conservation suites
 never import numpy; the consensus and words oracles load it when called.
@@ -37,15 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_tour(args) -> int:
+    build = scenario.build_tour_mst if args.method == "mst" else scenario.build_tour_nn
     try:
         tasks = scenario.load_tasks_json(args.tasks)
+        graph = build(tasks)
     except OSError as exc:
         return _cannot("read", args.tasks, exc)
     except (ValueError, KeyError) as exc:
         print(f"error: bad task file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    build = scenario.build_tour_mst if args.method == "mst" else scenario.build_tour_nn
-    graph = build(tasks)
     if graph.total_length == 0.0:
         print("warning: degenerate cycle of length 0", file=sys.stderr)
     try:
@@ -99,6 +100,14 @@ def cmd_simulate(args) -> int:
     else:
         try:
             verify.run_to_deep_convergence(sim, rtol=1e-9)
+            if len(sim.trace.parameter_changes) < len(spec.changes):
+                # run on to the last change and converge again, to its t_star
+                sim.run_until(t_end=max(ch["t"] for ch in spec.changes),
+                              max_events=verify.MAX_EVENTS)
+                if len(sim.trace.parameter_changes) < len(spec.changes):
+                    raise NotConvergedError(
+                        f"the last parameter change lies beyond {verify.MAX_EVENTS} events")
+                verify.run_to_deep_convergence(sim, rtol=1e-9)
         except NotConvergedError as exc:
             print(f"error: {exc}; bound the run with --events or --until", file=sys.stderr)
             return EXIT_SUITE

@@ -47,7 +47,8 @@ the open ones falls as boundaries are discovered, each discovery retiring
 its contact's entry, and once it reaches zero no event looks at contacts
 again.  Superseded entries become stale and are dropped when they reach
 the top, or by compacting the heap once stale entries outnumber live
-ones.  A parameter change re-pins every robot and rebuilds the queue.
+ones.  A parameter change re-pins every robot, rebuilds the queue and
+logs the state it leaves.
 
 Candidates within TIME_EPS * L / sum(v) of the earliest are simultaneous
 and resolve by lowest boundary, then lowest robot.  Pairwise meetings
@@ -72,8 +73,9 @@ with 0.
 The trace is a delta log: each event records only what it changed (the
 boundary value, the participants' traversing times and kinematic states),
 so its size does not grow with n.  ``Trace.replay()`` rebuilds the whole
-state after each event from those records and the logged parameter
-changes: y, e, speeds, radii and every robot's pinned kinematic state.
+state after each event from those records and the state each logged
+parameter change left: y, e, speeds, radii and every robot's pinned
+kinematic state.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .fleet import FleetConfig, RobotParams, StaticallyCoverableError
+from .fleet import FleetConfig
 
 NAN = float("nan")
 
@@ -163,8 +165,11 @@ class Trace:
     """Event log of one run.
 
     ``parameter_changes`` holds one dict per applied change (no-ops
-    included) with its time, robot id, new v and r, and ``events``, the
-    number of trace events recorded before it.
+    included), logged after the engine applied it: its time ``t``, the
+    robot id ``robot_id``, the robot's new ``v`` and ``r``, ``events``, the
+    number of trace events recorded before it, and the state the change
+    left: ``speeds`` and ``radii``, the tuples in force after it, and
+    ``pins``, each robot's ``(t_pin, p_pin, o, act)``.
     """
 
     fleet: FleetConfig
@@ -188,40 +193,26 @@ class Trace:
         traversing times, v and r the speeds and radii in force, and kin[i]
         robot i's state ``(t, p, o, a)`` pinned at its last event; a robot
         with a == 0 is parked at ``contact(y, i, o, r[i])``.
-        Changes logged before an event apply ahead of it as in the engine:
-        one that is not a no-op re-pins every robot at its time with the old
-        speeds, and a parked changed robot at its contact with the new
-        radius.  v and r are new tuples exactly at the events with changes
-        before them.  y, e and kin change in place: copy what you keep.
+        Before an event with changes logged ahead of it, v, r and kin are
+        read from the last of those records, the state the engine left,
+        and e is recomputed from them.  v and r are new tuples exactly at
+        the first event and the events with changes before them.  y, e and
+        kin change in place: copy what you keep.
         """
         n = self.n
-        v = [rb.v for rb in self.fleet.robots]
-        r = [rb.r for rb in self.fleet.robots]
-        speeds, radii = tuple(v), tuple(r)
-        index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
+        v, r = self.fleet.speeds, self.fleet.radii
         y = [NAN] * (n - 1) + [self.fleet.L]
         kin = [(0.0, p, o, 1) for p, o in zip(self.initial_positions, self.initial_orientations)]
         e = [traversing(y, r, v, i) for i in range(n)]
-        changes = self.parameter_changes
-        c = 0
+        # a change's events count is the index of the event it precedes
+        last_before = {ch["events"]: ch for ch in self.parameter_changes}
         for k, ev in enumerate(self.events):
             if until is not None and ev.time > until:
                 return
-            applied = c
-            while c < len(changes) and changes[c]["events"] <= k:
-                ch = changes[c]
-                c += 1
-                i = index[ch["robot_id"]]
-                if ch["v"] == v[i] and ch["r"] == r[i]:
-                    continue  # a no-op change leaves the engine's state untouched
-                t = ch["t"]
-                kin[:] = kin_at(kin, v, t)
-                v[i], r[i] = ch["v"], ch["r"]
-                _, p, o, a = kin[i]
-                if not a:  # parked at its contact
-                    kin[i] = (t, contact(y, i, o, r[i]), o, a)
-            if c > applied:
-                speeds, radii = tuple(v), tuple(r)
+            ch = last_before.get(k)
+            if ch is not None:
+                v, r = ch["speeds"], ch["radii"]
+                kin[:] = ch["pins"]
                 e[:] = [traversing(y, r, v, i) for i in range(n)]
             if ev.kind in ("discovery", "catch") or ev.updated:
                 j = ev.boundary
@@ -230,22 +221,18 @@ class Trace:
                 e[j + 1] = traversing(y, r, v, j + 1)
             for i, p, o, a in ev.states:
                 kin[i] = (ev.time, p, o, a)
-            yield ev, y, e, speeds, radii, kin
+            yield ev, y, e, v, r, kin
 
     def final_state(self):
         """``(y, e, v, r)`` after the last event, bit for bit the last
         ``replay()`` yield (the state before any event if there is none),
         read without stepping the events: y[j] is the last y_value logged
-        at boundary j, and v and r apply the changes logged before the last
-        event.  A change logged after it does not enter."""
+        at boundary j, and v and r come from the last change logged before
+        the last event.  A change logged after it does not enter."""
         n = self.n
-        v = [rb.v for rb in self.fleet.robots]
-        r = [rb.r for rb in self.fleet.robots]
-        index = {rb.id: i for i, rb in enumerate(self.fleet.robots)}
-        for ch in self.parameter_changes:
-            if ch["events"] < len(self.events):
-                i = index[ch["robot_id"]]
-                v[i], r[i] = ch["v"], ch["r"]
+        ch = next((ch for ch in reversed(self.parameter_changes)
+                   if ch["events"] < len(self.events)), None)
+        v, r = (self.fleet.speeds, self.fleet.radii) if ch is None else (ch["speeds"], ch["radii"])
         y = [NAN] * (n - 1) + [self.fleet.L]
         unseen = n - 1
         for ev in reversed(self.events):
@@ -255,7 +242,7 @@ class Trace:
             if j < n - 1 and math.isnan(y[j]):
                 y[j] = ev.y_value
                 unseen -= 1
-        return y, [traversing(y, r, v, i) for i in range(n)], tuple(v), tuple(r)
+        return y, [traversing(y, r, v, i) for i in range(n)], v, r
 
     def write_csv(self, path) -> None:
         rows = (CSV_ROW % (ev.time, ev.kind, ev.robot_a + 1,
@@ -630,10 +617,10 @@ class Simulation:
     # -- running ---------------------------------------------------------
 
     def _advance(self, t_end: float | None = None) -> bool | None:
-        """Apply whichever comes first: the next due parameter change
-        (returns False) or the next event (returns True).  If it falls
-        after t_end, apply nothing, move the clock forward to t_end and
-        return None."""
+        """Apply whichever comes first: the next due parameter change, at
+        its time (returns False), or the next event (returns True).  If it
+        falls after t_end, apply nothing, move the clock forward to t_end
+        and return None."""
         cand = self.next_candidate()
         t_next = None if cand is None else max(cand[0], self.t)
         pending = self._pending_changes
@@ -641,16 +628,15 @@ class Simulation:
         if change_due:
             t_next = pending[0]["t"]
         elif cand is None:
-            raise DeadlockError(
-                "no future event: all robots waiting (impossible under A2)"
-            )
+            raise DeadlockError("no future event: all robots waiting (impossible under A2)")
         if t_end is not None and t_next > t_end:
             self.t = max(self.t, t_end)
             return None
-        if change_due:
-            self._apply_due_change()
-            return False
         self.t = t_next
+        if change_due:
+            ch = pending.pop(0)
+            self.apply_parameter_change(ch["robot_id"], v=ch["v"], r=ch["r"])
+            return False
         key = cand[1]
         if key >= self.n:
             self._apply_contact(key - self.n)
@@ -687,63 +673,51 @@ class Simulation:
         self._pending_changes.append({"t": t, "robot_id": robot_id, "v": v, "r": r})
         self._pending_changes.sort(key=lambda ch: ch["t"])
 
-    def _apply_due_change(self) -> None:
-        ch = self._pending_changes.pop(0)
-        self.apply_parameter_change(ch["robot_id"], v=ch["v"], r=ch["r"], at=ch["t"])
-
     def apply_parameter_change(self, robot_id: int, v: float | None = None,
-                               r: float | None = None, at: float | None = None) -> None:
+                               r: float | None = None) -> None:
+        """Give robot robot_id (1-based) speed v and radius r (None keeps
+        its own) from the clock on, if the changed fleet passes the fleet
+        checks and a grown zone A3.  Unless the change is a no-op, every
+        robot re-pins at the clock with the old speeds, and a parked changed
+        robot at its contact with the new radius.  Logs the state it leaves."""
         idx = next((k for k, rb in enumerate(self.fleet.robots) if rb.id == robot_id), None)
         if idx is None:
             raise ValueError(f"no robot with id {robot_id}")
         new_v = self.v[idx] if v is None else float(v)
         new_r = self.r[idx] if r is None else float(r)
-        RobotParams(id=robot_id, v=new_v, r=new_r)  # re-validate invariants
-        radii = list(self.r)
-        radii[idx] = new_r
-        if self.L - 2.0 * sum(radii) <= 0:
-            raise StaticallyCoverableError(
-                "parameter change rejected: cycle would be statically coverable"
-            )
-        t_change = self.t if at is None else at
-        if t_change < self.t:
-            raise ValueError("cannot apply a change in the past")
+        speeds, radii = list(self.v), list(self.r)
+        speeds[idx], radii[idx] = new_v, new_r
+        self.fleet.with_params(speeds, radii)  # raises unless the changed fleet is valid
         if new_r > self.r[idx]:
-            self._check_grown_zone(idx, new_r, t_change)
+            self._check_grown_zone(idx, new_r)
+        if new_v != self.v[idx] or new_r != self.r[idx]:
+            # pin everyone at the change time so past motion keeps old speeds
+            self.p_pin = [self.position(i) for i in range(self.n)]
+            self.t_pin = [self.t] * self.n
+            self.v[idx], self.r[idx] = new_v, new_r
+            if not self.act[idx]:
+                self.p_pin[idx] = contact(self.y, idx, self.o[idx], new_r)
+            self._converged_at = None
+            self._derive_from_parameters()
         if self.trace is not None:
-            self.trace.parameter_changes.append(
-                {"t": t_change, "robot_id": robot_id, "v": new_v, "r": new_r,
-                 "events": len(self.trace.events)}
-            )
-        if new_v == self.v[idx] and new_r == self.r[idx]:
-            return  # literal no-op: leave the state (and hence the trace) untouched
-        # pin everyone at the change time so past motion keeps old speeds
-        self.p_pin = [self.position(i, t_change) for i in range(self.n)]
-        self.t_pin = [t_change] * self.n
-        self.t = t_change
-        self.v[idx] = new_v
-        self.r[idx] = new_r
-        # a parked robot re-pins to its contact with the new radius
-        if not self.act[idx]:
-            self.p_pin[idx] = contact(self.y, idx, self.o[idx], new_r)
-        self._converged_at = None
-        self._derive_from_parameters()
-        if self.trace is not None:
-            self.trace.converged_at = None
+            self.trace.parameter_changes.append({
+                "t": self.t, "robot_id": robot_id, "v": new_v, "r": new_r,
+                "events": len(self.trace.events), "speeds": tuple(self.v), "radii": tuple(self.r),
+                "pins": tuple(zip(self.t_pin, self.p_pin, self.o, self.act))})
+            self.trace.converged_at = self._converged_at
             self.trace.t_star = self.t_star
 
-    def _check_grown_zone(self, i: int, r_new: float, t: float) -> None:
-        """A3 at a radius growth: at time t, robot i's zone of radius r_new
+    def _check_grown_zone(self, i: int, r_new: float) -> None:
+        """A3 at a radius growth: at the clock, robot i's zone of radius r_new
         must fit its region (d_i >= 2 r_i), stay inside the boundaries it
         knows and clear its neighbours' zones.  A parked robot is checked
         where it re-pins.  A shrink cannot break any of these.
 
         An unknown boundary is NaN, and every comparison with NaN is false,
         so the region and boundary tests pass over what i does not know."""
-        n = self.n
         lo = 0.0 if i == 0 else self.y[i - 1]
         hi = self.y[i]  # y[n-1] == L
-        p = self.position(i, t) if self.act[i] else contact(self.y, i, self.o[i], r_new)
+        p = self.position(i) if self.act[i] else contact(self.y, i, self.o[i], r_new)
         ids = [rb.id for rb in self.fleet.robots]
         zone = f"its zone [{p - r_new}, {p + r_new}]"
         if hi - lo < 2.0 * r_new:
@@ -752,13 +726,14 @@ class Simulation:
             problem = f"{zone} crosses its boundary {lo}"
         elif p + r_new > hi:
             problem = f"{zone} crosses its boundary {hi}"
-        elif i > 0 and self.position(i - 1, t) + self.r[i - 1] > p - r_new:
+        elif i > 0 and self.position(i - 1) + self.r[i - 1] > p - r_new:
             problem = f"{zone} overlaps robot {ids[i - 1]}'s zone"
-        elif i < n - 1 and p + r_new > self.position(i + 1, t) - self.r[i + 1]:
+        elif i < self.n - 1 and p + r_new > self.position(i + 1) - self.r[i + 1]:
             problem = f"{zone} overlaps robot {ids[i + 1]}'s zone"
         else:
             return
-        raise AssumptionError(f"A3 violated at t={t}: robot {ids[i]} with r={r_new}: {problem}")
+        raise AssumptionError(
+            f"A3 violated at t={self.t}: robot {ids[i]} with r={r_new}: {problem}")
 
 
 def random_initial_state(cfg: FleetConfig, rng: random.Random,

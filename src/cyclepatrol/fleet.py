@@ -59,6 +59,11 @@ class FleetConfig:
             raise StaticallyCoverableError(
                 f"L - 2*sum(r) = {self.free_length} <= 0: cycle is statically coverable"
             )
+        # bounds a boundary update's numerator (< 4*v*L) and closing speed (<= 2*v)
+        fastest = max(self.robots, key=lambda rb: rb.v)
+        if not math.isfinite(4.0 * fastest.v * max(self.L, 1.0)):
+            raise ValueError(f"robot {fastest.id}: speed v = {fastest.v} on a cycle of "
+                             f"L = {self.L} overflows: 4*v*max(L, 1) must be finite")
 
     @property
     def n(self) -> int:
@@ -75,6 +80,11 @@ class FleetConfig:
     @property
     def free_length(self) -> float:
         return self.L - 2.0 * sum(self.radii)
+
+    def with_params(self, speeds, radii) -> FleetConfig:
+        """These robots and cycle at the given speeds and radii, checked."""
+        return FleetConfig(tuple(map(RobotParams, (rb.id for rb in self.robots), speeds, radii)),
+                           self.L)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,18 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
                 raise ValueError(f"{where}: field 'o0' must be -1 or +1, got {entry['o0']!r}")
     cfg = FleetConfig(robots=tuple(robots), L=L)
     events = _list(doc, "events", "fleet") if "events" in doc else []
-    changes = [_change_from_dict(k, ev, cfg) for k, ev in enumerate(events)]
+    index = {rb.id: i for i, rb in enumerate(cfg.robots)}
+    changes = [_change_from_dict(k, ev, index) for k, ev in enumerate(events)]
+    # the engine applies the changes in time order: check each fleet they leave
+    speeds, radii = list(cfg.speeds), list(cfg.radii)
+    for k, ch in sorted(enumerate(changes), key=lambda kc: kc[1]["t"]):
+        i = index[ch["robot"]]
+        speeds[i] = speeds[i] if ch["v"] is None else ch["v"]
+        radii[i] = radii[i] if ch["r"] is None else ch["r"]
+        try:
+            cfg.with_params(speeds, radii)
+        except ValueError as exc:
+            raise ValueError(f"events[{k}]: {exc}") from None
     return FleetScenario(
         config=cfg,
         positions=positions if have_state else None,
@@ -193,24 +214,18 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
     )
 
 
-def _change_from_dict(k: int, ev: dict, cfg: FleetConfig) -> dict:
+def _change_from_dict(k: int, ev: dict, index: dict) -> dict:
     """One scheduled parameter change: a known robot id, a finite time
-    t >= 0, and new values v and r that pass the robot checks."""
+    t >= 0, and new values v and r, numbers or None to keep the robot's."""
     where = f"events[{k}]"
     t = _number(ev, "t", where)
     robot_id = _integer(ev, "robot", where)
-    robot = next((rb for rb in cfg.robots if rb.id == robot_id), None)
-    if robot is None:
+    if robot_id not in index:
         raise ValueError(f"{where}: robot {ev['robot']!r} is not in the fleet")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"{where}: time t must be finite and non-negative, got {t}")
-    v = robot.v if ev.get("v") is None else _number(ev, "v", where)
-    r = robot.r if ev.get("r") is None else _number(ev, "r", where)
-    try:
-        RobotParams(id=robot.id, v=v, r=r)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return {**ev, "t": t, "robot": robot_id}
+    v, r = (None if ev.get(name) is None else _number(ev, name, where) for name in ("v", "r"))
+    return {**ev, "t": t, "robot": robot_id, "v": v, "r": r}
 
 
 def load_fleet_json(path) -> FleetScenario:

@@ -74,7 +74,7 @@ class PerformanceReport:
             fh.write("\n")
 
 
-def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> PerformanceReport:
+def theorem_verdicts(trace: Trace) -> PerformanceReport:
     """PASS/FAIL verdicts against the convergence and revisit-time claims.
 
     Verdicts come from the post-convergence tail only; a trace that never
@@ -105,7 +105,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
     report.verdicts.append(
         Verdict(
             "common_traversing_time",
-            "PASS" if dev <= rel_tol else "FAIL",
+            "PASS" if dev <= PASS_REL_TOL else "FAIL",
             predicted=t_star,
             measured=max(final_e, key=lambda e: abs(e - t_star)),
             rel_err=dev,
@@ -133,7 +133,7 @@ def theorem_verdicts(trace: Trace, rel_tol: float = PASS_REL_TOL) -> Performance
         report.verdicts.append(
             Verdict(
                 name,
-                "PASS" if worst <= rel_tol else "FAIL",
+                "PASS" if worst <= PASS_REL_TOL else "FAIL",
                 predicted=t_rev,
                 measured=measured,
                 rel_err=worst,

@@ -24,11 +24,12 @@ class TaskSet:
 
     def __post_init__(self):
         if not self.tasks:
-            raise ValueError("task set is empty")
-        ids = [tid for tid, _ in self.tasks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("task ids must be unique")
-        for tid, (x, y) in self.tasks:
+            raise ValueError("task set: field 'tasks' is empty")
+        ids = set()
+        for k, (tid, (x, y)) in enumerate(self.tasks):
+            if tid in ids:
+                raise ValueError(f"tasks[{k}]: duplicate task id {tid}")
+            ids.add(tid)
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"task {tid}: coordinates must be finite")
 
@@ -47,6 +48,8 @@ class CycleGraph:
     total_length: float
 
     def __post_init__(self):
+        if not math.isfinite(self.total_length):
+            raise ValueError(f"tour length L = {self.total_length}: task x, y too far apart")
         if len(self.waypoints) != len(self.cumulative_lengths):
             raise ValueError("waypoints and cumulative_lengths must align")
         if self.cumulative_lengths[0] != 0.0:

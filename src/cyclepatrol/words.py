@@ -188,7 +188,6 @@ class TransitionLabel:
     start: int
     length: int
     rule: Rule  # MERGE overrides the base rule when spans coalesce
-    base_rule: Rule
     successor: tuple[int, int] | None
 
 
@@ -249,12 +248,9 @@ def _label_transition(
                 f"{w} -> {w_next}: successor {sorted(ss)} of sequence {base[k][0]} vanished"
             )
 
-    labels = []
-    for k, ((start, length), rule, succ) in enumerate(base):
-        final = Rule.MERGE if merged[k] else rule
-        labels.append(
-            TransitionLabel(start=start, length=length, rule=final, base_rule=rule, successor=succ)
-        )
+    labels = [TransitionLabel(start=start, length=length,
+                              rule=Rule.MERGE if merged[k] else rule, successor=succ)
+              for k, ((start, length), rule, succ) in enumerate(base)]
     return labels, preds_by_target
 
 

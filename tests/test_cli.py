@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cyclepatrol import cli, verify
+from cyclepatrol.fleet import fleet_from_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,6 +31,21 @@ def square_tasks(tmp_path):
     p = tmp_path / "tasks.json"
     p.write_text(json.dumps(doc))
     return p
+
+
+def eight_robot_doc(**extra):
+    """The n=8 benchmark fleet as a fleet document, with extra top-level
+    fields."""
+    v = [0.6, 0.1, 0.5, 0.3, 0.7, 0.2, 0.8, 0.4]
+    r = [20.0, 20.0, 50.0, 20.0, 20.0, 20.0, 100.0, 20.0]
+    return {"L": 1000.0, "robots": [{"id": i + 1, "v": v[i], "r": r[i]} for i in range(8)],
+            **extra}
+
+
+def robot_1_at_speed(v):
+    doc = eight_robot_doc()
+    doc["robots"][0]["v"] = v
+    return doc
 
 
 @pytest.fixture
@@ -89,6 +105,26 @@ class TestTour:
         assert rc == 2
         assert f"error: bad task file: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["nn", "mst"])
+    def test_overflowing_tour_length_exits_2(self, tmp_path, capsys, method):
+        # the tour over tasks at x = +-1e308 used to be written with L = inf
+        p = tmp_path / "far.json"
+        p.write_text(json.dumps({"tasks": [{"id": 1, "x": -1e308, "y": 0.0},
+                                           {"id": 2, "x": 1e308, "y": 0.0},
+                                           {"id": 3, "x": 0.0, "y": 1.0}]}))
+        out = tmp_path / "cg.json"
+        rc = cli.main(["tour", str(p), "--method", method, "-o", str(out)])
+        assert rc == 2
+        assert "tour length L = inf: task x, y too far apart" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_task_id_names_the_entry(self, tmp_path, capsys):
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps({"tasks": [{"id": 1, "x": 0.0, "y": 0.0},
+                                           {"id": 1, "x": 3.0, "y": 4.0}]}))
+        assert cli.main(["tour", str(p), "-o", str(tmp_path / "cg.json")]) == 2
+        assert "tasks[1]: duplicate task id 1" in capsys.readouterr().err
 
     def test_bad_subcommand_usage_error(self):
         assert cli.main(["frobnicate"]) == 1
@@ -157,6 +193,77 @@ class TestSimulate:
         assert err == ("error: no convergence to 1e-09 within 40 events; "
                        "bound the run with --events or --until\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_change", [60000.0, 200000.0])
+    def test_default_run_converges_after_the_last_change(self, tmp_path, capsys, t_change):
+        """Deep convergence ends at t = 52,056 s for seed 0.  A change at
+        t = 60,000 s used to fall in the tail and leave both verdicts
+        INCONCLUSIVE (exit 3); one at 200,000 s was never applied, and the
+        run passed against the old t_star of 127.78 s."""
+        doc = eight_robot_doc(events=[{"t": t_change, "robot": 5, "v": 0.35}])
+        p = tmp_path / "fleet.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--seed", "0", "-o", str(out)])
+        stdout = capsys.readouterr().out
+        assert rc == 0, stdout
+        assert stdout.startswith("t_star = 141.538461538 s")
+        assert stdout.count(": PASS") == 2
+        last = (out / "trace.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) > t_change
+
+    def test_change_beyond_the_event_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_EVENTS", 4000)
+        p = tmp_path / "fleet.json"
+        p.write_text(json.dumps(eight_robot_doc(events=[{"t": 1e12, "robot": 5, "v": 0.35}])))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", str(p), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the last parameter change lies beyond 4000 events; "
+            "bound the run with --events or --until\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        # 167 of 200 trace rows used to hold inf
+        (eight_robot_doc(L=1e308), "robot 7: speed v = 0.8 on a cycle of L = 1e+308 overflows"),
+        # 10 inf rows
+        (robot_1_at_speed(1e306), "robot 1: speed v = 1e+306 on a cycle of L = 1000.0 overflows"),
+        # boundary updates overflowed to inf and the run ended in a DeadlockError
+        (robot_1_at_speed(1e307), "robot 1: speed v = 1e+307 on a cycle of L = 1000.0 overflows"),
+        (eight_robot_doc(events=[{"t": 10.0, "robot": 3, "v": 1e308}]),
+         "events[0]: robot 3: speed v = 1e+308 on a cycle of L = 1000.0 overflows"),
+    ])
+    def test_overflowing_magnitudes_exit_2(self, tmp_path, capsys, doc, message):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--events", "200", "-o", str(out)])
+        assert rc == 2
+        assert f"error: bad fleet file: {message}: 4*v*max(L, 1) must be finite" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_statically_coverable_change_exits_2_before_the_run(self, tmp_path, capsys):
+        # a change beyond the run's end used to pass unchecked
+        doc = eight_robot_doc(events=[{"t": 1e6, "robot": 7, "r": 340.0}])
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", str(p), "--events", "50", "-o", str(out)]) == 2
+        assert ("events[0]: L - 2*sum(r) = -20.0 <= 0: cycle is statically coverable"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_changes_are_checked_in_time_order(self):
+        """Robot 7's growth to r = 330 leaves the cycle coverable unless
+        robot 3 has shrunk to r = 10 before it."""
+        grow, shrink = {"robot": 7, "r": 330.0}, {"robot": 3, "r": 10.0}
+        spec = fleet_from_dict(eight_robot_doc(events=[{"t": 2000.0, **grow},
+                                                       {"t": 1000.0, **shrink}]))
+        assert [ch["t"] for ch in spec.changes] == [2000.0, 1000.0]
+        with pytest.raises(ValueError, match=r"events\[0\]: L - 2\*sum\(r\) = 0.0 <= 0"):
+            fleet_from_dict(eight_robot_doc(events=[{"t": 1000.0, **grow},
+                                                    {"t": 2000.0, **shrink}]))
 
     @pytest.mark.parametrize("where, field, value", [
         ("robot", "r", float("nan")),

@@ -268,6 +268,21 @@ class TestParameterChange:
 
         assert run(True) == run(False)
 
+    def test_change_record_holds_the_state_it_leaves(self, fig3_fleet):
+        """Each record, a no-op's too, is logged at the change's time with
+        the speeds, radii and pins the engine holds right after it."""
+        sim = Simulation(fig3_fleet, *random_initial_state(fig3_fleet, random.Random(2)))
+        sim.schedule_parameter_change(3000.0, robot_id=2, v=0.35)
+        sim.schedule_parameter_change(4000.0, robot_id=3)
+        held = []
+        while len(held) < 2:
+            if sim.step() is None:  # a change was due first
+                held.append((sim.t, tuple(sim.v), tuple(sim.r),
+                             tuple(zip(sim.t_pin, sim.p_pin, sim.o, sim.act))))
+        assert [(ch["t"], ch["speeds"], ch["radii"], ch["pins"])
+                for ch in sim.trace.parameter_changes] == held
+        assert [t for t, *_ in held] == [3000.0, 4000.0]
+
     def test_radius_blowup_rejected(self, fig3_fleet):
         rng = random.Random(2)
         pos, ori = random_initial_state(fig3_fleet, rng)

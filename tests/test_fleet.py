@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -128,6 +129,25 @@ class TestValidation:
                   zip([1, 2, 3, 2], [0.3, 0.7, 0.3, 0.3], [50.0, 50.0, 50.0, 150.0])]
         with pytest.raises(ValueError, match="duplicate robot id 2"):
             FleetConfig(robots=tuple(robots), L=1000.0)
+
+    @pytest.mark.parametrize("v, L", [(1e306, 1000.0), (0.8, 1e308), (1e308, 0.5)])
+    def test_overflowing_speed_times_length_rejected(self, v, L):
+        # the fastest robot is named; L below 1 counts as 1
+        robots = (RobotParams(id=1, v=0.3, r=0.0), RobotParams(id=2, v=v, r=0.0))
+        message = f"robot 2: speed v = {v} on a cycle of L = {L} overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FleetConfig(robots=robots, L=L)
+
+    def test_large_finite_bound_accepted(self):
+        FleetConfig(robots=(RobotParams(id=1, v=1e300, r=0.0),
+                            RobotParams(id=2, v=1.0, r=0.0)), L=1e7)
+
+    def test_with_params_keeps_ids_and_checks_the_fleet(self, fig3_fleet):
+        changed = fig3_fleet.with_params([0.3, 0.35, 0.3, 0.3], [50.0, 50.0, 50.0, 100.0])
+        assert [rb.id for rb in changed.robots] == [1, 2, 3, 4]
+        assert (changed.speeds[1], changed.radii[3], changed.L) == (0.35, 100.0, 1000.0)
+        with pytest.raises(StaticallyCoverableError):
+            fig3_fleet.with_params(fig3_fleet.speeds, [50.0, 50.0, 50.0, 350.0])
 
 
 class TestJson:
