@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, scenario, verify
-from .engine import AssumptionError, Simulation, random_initial_state
+from .engine import AssumptionError, Simulation, random_initial_state, write_rows
 from .fleet import StaticallyCoverableError, load_fleet_json
 from .rounds import NotConvergedError
 
@@ -184,24 +184,17 @@ def cmd_sweep(args) -> int:
     if args.vary_n is not None:
         if not all(x.is_integer() and x >= 2 for x in values):
             return _bad_flag(flag, f"must list integer fleet sizes >= 2, got {spec!r}")
-        rows = [verify.sweep_fleet_size([int(n)], v=args.v, r=args.r, L=args.L,
-                                        seed=args.seed, measure=measure)[0]
-                for n in values]
-        label = "vary_n"
+        sweep, values, label = verify.sweep_fleet_size, [int(n) for n in values], "vary_n"
     else:
         if not all(0.0 < f < math.inf for f in values):
             return _bad_flag(flag, f"must list finite factors > 0, got {spec!r}")
-        rows = [verify.sweep_capability_factor([f], v=args.v, r=args.r, L=args.L,
-                                               seed=args.seed, measure=measure)[0]
-                for f in values]
-        label = "factor"
+        sweep, label = verify.sweep_capability_factor, "factor"
+    rows = sweep(values, v=args.v, r=args.r, L=args.L, seed=args.seed, measure=measure)
     try:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n")
-            for row in rows:
-                fh.write(f"{row['label']:.9f},{row['n']},{row['t_star']:.9f},"
-                         f"{row['t_rev_predicted']:.9f},{row['t_rev_measured']:.9f},"
-                         f"{row['rel_err']:.9f}\n")
+        write_rows(args.output, f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n",
+                   (f"{row['label']:.9f},{row['n']},{row['t_star']:.9f},"
+                    f"{row['t_rev_predicted']:.9f},{row['t_rev_measured']:.9f},"
+                    f"{row['rel_err']:.9f}\n" for row in rows))
     except OSError as exc:
         return _cannot("write", args.output, exc)
     print(f"{len(rows)} sweep points -> {args.output}")

@@ -81,7 +81,6 @@ kinematic state.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -253,18 +252,14 @@ class Trace:
 
 
 CSV_ROW = "%.9f,%s,%d,%s,%d,%.9f,%.9f,%.9f\n"
-ROWS_PER_WRITE = 1024
 
 
 def write_rows(path, header: str, rows) -> None:
-    """Write header and the newline-terminated rows, joined in chunks of
-    ROWS_PER_WRITE so the file never exists as one string in memory."""
+    """Write header and the newline-terminated rows, streamed from the
+    iterable so the file never exists as one string in memory."""
     with open(path, "w", newline="") as fh:
         fh.write(header)
-        chunk = list(itertools.islice(rows, ROWS_PER_WRITE))
-        while chunk:
-            fh.write("".join(chunk))
-            chunk = list(itertools.islice(rows, ROWS_PER_WRITE))
+        fh.writelines(rows)
 
 
 class Simulation:

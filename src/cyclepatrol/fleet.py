@@ -64,6 +64,11 @@ class FleetConfig:
         if not math.isfinite(4.0 * fastest.v * max(self.L, 1.0)):
             raise ValueError(f"robot {fastest.id}: speed v = {fastest.v} on a cycle of "
                              f"L = {self.L} overflows: 4*v*max(L, 1) must be finite")
+        # bounds every crossing time (< L/v) and the tie window TIME_EPS*L/sum(v)
+        slowest = min(self.robots, key=lambda rb: rb.v)
+        if not math.isfinite(max(self.L, 1.0) / slowest.v):
+            raise ValueError(f"robot {slowest.id}: speed v = {slowest.v} on a cycle of "
+                             f"L = {self.L} overflows: max(L, 1)/v must be finite")
 
     @property
     def n(self) -> int:
@@ -192,6 +197,9 @@ def fleet_from_dict(doc: dict) -> FleetScenario:
             orientations.append(_integer(entry, "o0", where))
             if orientations[-1] not in (-1, 1):
                 raise ValueError(f"{where}: field 'o0' must be -1 or +1, got {entry['o0']!r}")
+    if have_state and len(set(orientations)) == 1:
+        raise ValueError(f"robots: field 'o0' is {orientations[0]:+d} on every robot; "
+                         "A2 needs both orientations")
     cfg = FleetConfig(robots=tuple(robots), L=L)
     events = _list(doc, "events", "fleet") if "events" in doc else []
     index = {rb.id: i for i, rb in enumerate(cfg.robots)}

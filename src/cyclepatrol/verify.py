@@ -59,28 +59,20 @@ def random_fleet(rng: random.Random, n: int | None = None) -> FleetConfig:
     return FleetConfig(robots=robots, L=L)
 
 
-FLOOR_RTOL = 1e-8  # a deviation that stalls below this is the float fixed point
 MAX_EVENTS = 400_000  # run_to_deep_convergence's event budget
 
 
 def run_to_deep_convergence(sim: Simulation, rtol: float = 1e-11) -> float:
-    """Step until max|e - t_star|/t_star drops below rtol, accepting the
-    float fixed point if the deviation stops improving below FLOOR_RTOL.
-    Raises ``rounds.NotConvergedError`` after MAX_EVENTS events."""
+    """Step until max|e - t_star|/t_star, polled every max(8, 4n) events,
+    drops below rtol, and return it; raise ``rounds.NotConvergedError``
+    after MAX_EVENTS events.  These are the only two exits."""
     chunk = max(8, 4 * sim.n)
-    best = math.inf
-    done = 0
-    while done < MAX_EVENTS:
+    for _ in range(0, MAX_EVENTS, chunk):
         dev = sim.max_deviation()
         if dev < rtol:
             return dev
-        if dev < best * (1.0 - 1e-6):
-            best = dev
-        elif dev < FLOOR_RTOL:
-            return dev  # stalled at the arithmetic floor, good enough
         for _ in range(chunk):
             sim.step()
-        done += chunk
     raise rounds.NotConvergedError(f"no convergence to {rtol} within {MAX_EVENTS} events")
 
 

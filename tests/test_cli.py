@@ -48,6 +48,13 @@ def robot_1_at_speed(v):
     return doc
 
 
+def every_robot_at_speed(v):
+    doc = eight_robot_doc()
+    for rb in doc["robots"]:
+        rb["v"] = v
+    return doc
+
+
 @pytest.fixture
 def fig3_fleet_file(tmp_path):
     doc = {"L": 1000.0, "robots": [
@@ -243,6 +250,25 @@ class TestSimulate:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        # ended in a DeadlockError traceback
+        (every_robot_at_speed(1e-306),
+         "robot 1: speed v = 1e-306 on a cycle of L = 1000.0 overflows"),
+        # exit 0 with inf in 35 of 50 trace rows
+        (robot_1_at_speed(5e-324), "robot 1: speed v = 5e-324 on a cycle of L = 1000.0 overflows"),
+        (eight_robot_doc(events=[{"t": 10.0, "robot": 3, "v": 1e-310}]),
+         "events[0]: robot 3: speed v = 1e-310 on a cycle of L = 1000.0 overflows"),
+    ])
+    def test_tiny_speeds_exit_2(self, tmp_path, capsys, doc, message):
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(out)])
+        assert rc == 2
+        assert f"error: bad fleet file: {message}: max(L, 1)/v must be finite" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_statically_coverable_change_exits_2_before_the_run(self, tmp_path, capsys):
         # a change beyond the run's end used to pass unchecked
         doc = eight_robot_doc(events=[{"t": 1e6, "robot": 7, "r": 340.0}])
@@ -405,6 +431,17 @@ class TestSimulate:
         assert rc == 2
         assert "robots[1]: field 'o0' must be -1 or +1, got 0" in capsys.readouterr().err
 
+    def test_one_orientation_for_all_names_its_field(self, tmp_path, capsys):
+        # used to read "A2 violated: all robots share one orientation"
+        doc = {"L": 1000.0, "robots": [{"id": i + 1, "v": 0.5, "r": 10.0,
+                                        "p0": 100.0 * i + 50.0, "o0": 1} for i in range(4)]}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", str(p), "--events", "50", "-o", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: bad fleet file: robots: field 'o0' is +1 "
+                                           "on every robot; A2 needs both orientations\n")
+
     def test_change_breaking_a3_exits_2(self, tmp_path, capsys):
         # at t=4200 robot 2 patrols [100, 200]; r=45 puts its zone over y0
         doc = {"L": 400.0, "robots": [{"id": i + 1, "v": 1.0, "r": 10.0} for i in range(4)],
@@ -512,6 +549,15 @@ class TestSweep:
         if label == "vary_n":
             assert [float(r["vary_n"]) for r in rows] == [2.0, 3.0, 4.0]
             assert [r["n"] for r in rows] == ["2", "3", "4"]
+
+    def test_factor_range_is_eight_even_steps(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--factor", "0.5..2", "--closed-form-only",
+                         "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            factors = [float(row["factor"]) for row in csv.DictReader(fh)]
+        assert factors == pytest.approx([0.5 + 1.5 * k / 7 for k in range(8)], abs=1e-9)
+        assert (factors[0], factors[-1]) == (0.5, 2.0)
 
     def test_single_point_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -687,6 +687,43 @@ def test_queue_matches_the_scan_in_synchronized_rounds(eight_robot_fleet, seed):
     assert sum(k >= 3 for k in sizes) >= 200
 
 
+@pytest.mark.parametrize("rtol", [1e-9, 1e-11])
+def test_deep_convergence_stops_only_below_its_tolerance(rtol):
+    """On this 15-robot fleet the max deviation reads 1.04e-8, 1.04e-8,
+    9.36e-9, 9.36e-9 at successive polls while its worst robot waits for
+    a meeting; a run that took the repeat for the arithmetic floor
+    returned 9.36e-9 for either tolerance.  Stepping on reaches both."""
+    rng = random.Random(89)
+    n = rng.randint(14, 24)
+    cfg = verify.random_fleet(rng, n=n)
+    sim = Simulation(cfg, *random_initial_state(cfg, rng, n_minus=rng.randint(1, n - 1)))
+    dev = verify.run_to_deep_convergence(sim, rtol=rtol)
+    assert dev == sim.max_deviation() < rtol
+    assert len(sim.trace.events) % (4 * n) == 0
+
+
+def test_stale_queue_entries_are_compacted(eight_robot_fleet):
+    """Re-queueing every key at its own time leaves the heap's live
+    entries as they were and buries them under stale ones; the next event
+    compacts the heap and the run goes on as its untouched twin's."""
+    start = random_initial_state(eight_robot_fleet, random.Random(4))
+    sim, twin = (Simulation(eight_robot_fleet, *start) for _ in range(2))
+    sim.run_until(max_events=200)
+    twin.run_until(max_events=200)
+    keys = len(sim._version)
+    while len(sim._queue) <= 2 * keys:
+        for key, t in live_entries(sim).items():
+            sim._queue_key(key, t)
+    assert live_entries(sim) == live_entries(twin)
+    sim.step()
+    twin.step()
+    assert len(sim._queue) <= 2 * keys
+    sim.run_until(max_events=499)
+    twin.run_until(max_events=499)
+    assert len(sim.trace.events) == 700
+    assert repr(sim.trace.events) == repr(twin.trace.events)  # repr: nan == nan
+
+
 def event_label(ev):
     """(kind, boundary, robots) of a trace event."""
     robots = (ev.robot_a,) if ev.robot_b is None else (ev.robot_a, ev.robot_b)

@@ -138,6 +138,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             FleetConfig(robots=robots, L=L)
 
+    @pytest.mark.parametrize("v, L", [(1e-306, 1000.0), (5e-324, 1000.0), (1e-309, 0.5)])
+    def test_overflowing_length_over_speed_rejected(self, v, L):
+        # the slowest robot is named; L below 1 counts as 1
+        robots = (RobotParams(id=1, v=0.3, r=0.0), RobotParams(id=2, v=v, r=0.0))
+        message = f"robot 2: speed v = {v} on a cycle of L = {L} overflows: max(L, 1)/v"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FleetConfig(robots=robots, L=L)
+
     def test_large_finite_bound_accepted(self):
         FleetConfig(robots=(RobotParams(id=1, v=1e300, r=0.0),
                             RobotParams(id=2, v=1.0, r=0.0)), L=1e7)

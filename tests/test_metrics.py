@@ -102,6 +102,16 @@ class TestVerdicts:
         report = theorem_verdicts(sim.trace)
         assert all(v.status == "INCONCLUSIVE" for v in report.verdicts)
 
+    def test_too_few_meetings_leave_the_revisit_time_inconclusive(self):
+        # converged after 5 events, before any boundary has a revisit window
+        cfg = make_fleet([1.0, 1.0], [10.0, 10.0], 1000.0)
+        sim = Simulation(cfg, *random_initial_state(cfg, random.Random(0)))
+        while sim.converged_at is None:
+            sim.step()
+        statuses = {v.name: v.status for v in theorem_verdicts(sim.trace).verdicts}
+        assert statuses == {"common_traversing_time": "PASS",
+                            "revisit_time_balanced": "INCONCLUSIVE"}
+
     def test_verdicts_deterministic(self, fig3_fleet):
         reports = []
         for _ in range(2):
