@@ -181,6 +181,8 @@ def cmd_sweep(args) -> int:
         values = _parse_range(spec, integral=args.vary_n is not None)
     except ValueError:
         return _bad_flag(flag, f"must be a value, a comma list or lo..hi, got {spec!r}")
+    if not values:
+        return _bad_flag(flag, f"must list at least one value, got {spec!r}")
     if args.vary_n is not None:
         if not all(x.is_integer() and x >= 2 for x in values):
             return _bad_flag(flag, f"must list integer fleet sizes >= 2, got {spec!r}")

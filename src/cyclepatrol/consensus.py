@@ -11,6 +11,9 @@ the dense product of one round-robin sweep (``average_link`` applied to
 the columns of I) for spectral radius <= 1 and primitivity.  Through
 diag(sqrt v) that product is similar to the transposed product of the
 symmetrized links, so it has their spectrum and sign pattern.
+``iterate_consensus`` runs each sweep as one running weighted mean with
+``average_link``'s float operations, bit for bit, and takes the O(n) max
+distance to the target only once the last entry is within tol of it.
 """
 
 from __future__ import annotations
@@ -98,15 +101,28 @@ def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,
     """Apply round-robin sweeps over all links (jointly connected
     infinitely often) until the weighted mean.  Returns (e, sweeps,
     converged), e a list.
+
+    A sweep applies links 0, 1, ..., n-2 in turn, so it is one running
+    weighted mean: link i sets entries i and i+1 to (v_i m + v_{i+1}
+    e_{i+1}) / (v_i + v_{i+1}), m being the mean link i-1 left in entry i.
+    The sweep computes that mean with the float operations of
+    ``average_link`` in the same order, so e is bit for bit the same.
+    The last entry holds the last mean; while it lies tol or more from the
+    target, so does the max over e, and the O(n) max is skipped.
     """
     v = m.speeds
     e = [float(x) for x in e0]
     target = fixed_point(v, e0)
-    links = range(m.n - 1)
+    links = [(a, b, a + b) for a, b in zip(v, v[1:])]
     for sweep in range(1, max_sweeps + 1):
-        for i in links:
-            average_link(e, v, i)
-        if max(abs(x - target) for x in e) < tol:
+        mean = e[0]
+        swept = []
+        for (a, b, ab), x in zip(links, e[1:]):
+            mean = (a * mean + b * x) / ab
+            swept.append(mean)
+        swept.append(mean)
+        e = swept
+        if abs(mean - target) < tol and max(abs(x - target) for x in e) < tol:
             return e, sweep, True
     return e, max_sweeps, False
 

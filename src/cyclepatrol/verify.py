@@ -2,7 +2,8 @@
 word calculus, the round model, and the simulator's conservation laws.
 
 Each suite returns a SuiteResult with per-check outcomes; the CLI maps a
-failing suite to exit code 3.  The suites are sized so the full set runs
+failing suite to exit code 3.  The exhaustive word suite judges each word
+and each round once, through a per-length memo (see `_word_checks`).  The suites are sized so the full set runs
 in well under a few minutes; the acceptance tests call them at the sizes
 the criteria demand.
 """
@@ -159,130 +160,184 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
 
 # -- word-calculus suite ---------------------------------------------------
 
-def _word_checks(w: words.Word, probed: set[words.Word],
-                 table: dict[tuple[int, ...], words.Transition]) -> int:
-    """Evolve one word to its interlaced configuration, checking every
-    lemma-level property on the round it happens, and return the rounds
-    taken.  Each check reads only the step just taken; what a later round
-    needs (when and at what length a sequence began reducing, which
-    sequences are doomed) is carried forward, never looked up.
+_REDUCING = (words.Rule.REDUCE, words.Rule.DISAPPEAR)
+_SURVIVED = "survived"  # a doomed lineage's outcome when it is still there at interlacing
 
-    Every check runs on every start word; ``table`` only spares
-    recomputing a transition already seen.  An entry is a pure function
-    of the stepped word's letters and is stored only once the transition
-    has been labelled without a `CalculusViolation` (see
-    `words.TrackedEvolution`), so a violating transition raises for
-    every start word that reaches it and the first such word is the one
-    named.
 
-    The closing absorbing-regime probe runs only for an unbalanced final
-    word not yet in ``probed``, and adds it there once it passes.  This is
-    exact: the probe reads nothing but the final word (its majority letter
-    and length are those of ``w``, which stepping preserves), so a repeat
-    would repeat the outcome, and a failing probe stops the suite at the
-    first start word that reaches it.
-    """
-    n = w.n
-    # The collaborative-rule lemmas are oriented for a '+' majority; for a
-    # '-' majority the dynamics mirror and Move+ plays the doomed role.
-    plus_majority = w.n_plus >= w.n_minus
-    doomed_rule = words.Rule.MOVE_MINUS if plus_majority else words.Rule.MOVE_PLUS
-    forbidden_after = (words.Rule.MOVE_PLUS if plus_majority else words.Rule.MOVE_MINUS,
-                       words.Rule.EXPAND)
-    reducing = (words.Rule.REDUCE, words.Rule.DISAPPEAR)
-    began_reducing: dict[int, tuple[int, int]] = {}  # id -> (round, length then)
-    doomed: set[int] = set()  # the taint survives merges
-    ev = words.TrackedEvolution(w, table)
-    while not words.is_interlaced(ev.word)[0]:
-        if ev.round >= n:
-            raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
-        prev_spans = ev.ids  # a step replaces ids, so this stays the old round's
+def _roles(w: words.Word) -> tuple[words.Rule, tuple[words.Rule, ...], words.Rule]:
+    """(doomed rule, rules forbidden after it, absorbing rule) for w's
+    majority letter.  The collaborative-rule lemmas are oriented for a '+'
+    majority; for a '-' majority the dynamics mirror and Move+ plays the
+    doomed role."""
+    Rule = words.Rule
+    if w.n_plus >= w.n_minus:
+        return Rule.MOVE_MINUS, (Rule.MOVE_PLUS, Rule.EXPAND), Rule.MOVE_PLUS
+    return Rule.MOVE_PLUS, (Rule.MOVE_MINUS, Rule.EXPAND), Rule.MOVE_MINUS
+
+
+def _violation(w: words.Word, rounds: int, span: tuple[int, int], message: str):
+    """The violation of start word w by the sequence at ``span`` after
+    ``rounds`` rounds; ``message`` has a {} for the id that
+    `words.TrackedEvolution` gives that sequence from w."""
+    ev = words.TrackedEvolution(w)
+    for _ in range(rounds):
         ev.step()
-        if len(ev.ids) > len(prev_spans):
-            raise words.CalculusViolation(f"{w}: sequence count grew")
+    sid = next(sid for sid, s in ev.ids.items() if s == span)
+    return words.CalculusViolation(f"{w}: " + message.format(sid))
+
+
+def _check_reduction(w: words.Word, rounds: int, span: tuple[int, int], fate: int) -> None:
+    """A sequence that begins reducing from length l dies after exactly
+    l/2 rounds, unless the word interlaces first (fate 0)."""
+    if fate and fate != span[1] // 2:
+        raise _violation(w, rounds, span, f"sequence {{}} reduced from {span[1]} in {fate} rounds")
+
+
+def _judge_round(w: words.Word, t: int, x: words.Word, spans, x2: words.Word, entry2):
+    """Label round t of start word w's walk, x -> x2, and run every check
+    that reads it; ``entry2`` is x2's memo entry.  Returns, per sequence
+    of x, its (rule, fate, doom):
+
+    - fate: the rounds until it disappears, or 0 if it is still there when
+      the word interlaces (read only while it runs Reduce or Disappear);
+    - doom: None if a lineage doomed by here disappears before
+      interlacing and runs no forbidden rule, else the forbidden rule it
+      runs or ``_SURVIVED``.
+    """
+    _, _, spans2, facts2 = entry2
+    n = x.n
+    if len(spans2) > len(spans):
+        raise words.CalculusViolation(f"{w}: sequence count grew")
+    labels, preds_by_target = words._label_transition(x, x2, spans, spans2)
+    succ = [None] * len(spans)
+    for j, preds in enumerate(preds_by_target):
+        for k in preds:
+            succ[k] = j
+    doomed_rule, forbidden, _ = _roles(x)
+    facts = []
+    for span, label, j in zip(spans, labels, succ):
+        rule = label.rule
+        if j is None:  # it disappears
+            facts.append((rule, 1, rule if rule in forbidden else None))
+            continue
+        span2 = spans2[j]
         # speed limit: spans move at most one position per round (a merged
         # span's start comes from the absorbed partner, so skip those)
-        for sid, (st, ln) in ev.ids.items():
-            if (sid in prev_spans and ln < n
-                    and ev.rules.get(sid) != words.Rule.MERGE):
-                pst = prev_spans[sid][0]
-                moves = {(pst - 1) % n, pst % n, (pst + 1) % n}
-                if st not in moves:
-                    raise words.CalculusViolation(f"{w}: sequence {sid} jumped")
-        for sid, rule in ev.rules.items():
-            if sid in began_reducing:
-                if rule not in reducing:
-                    raise words.CalculusViolation(
-                        f"{w}: sequence {sid} stopped reducing ({rule})"
-                    )
-            elif rule in reducing:
-                began_reducing[sid] = (ev.round - 1, prev_spans[sid][1])
-            if rule == doomed_rule:
-                doomed.add(sid)
-            if sid in doomed and rule in forbidden_after:
-                raise words.CalculusViolation(
-                    f"{w}: sequence {sid} ran {rule} after {doomed_rule}"
-                )
-        for group in ev.merges:
-            if group & doomed:
-                doomed.add(min(group))
-        # a sequence that reduces from length l dies after exactly l/2 rounds
-        for sid, length in ev.lengths.items():
-            if length == 0 and sid in began_reducing:
-                start, l0 = began_reducing[sid]
-                if ev.round - start != l0 // 2:
-                    raise words.CalculusViolation(
-                        f"{w}: sequence {sid} reduced from {l0} in {ev.round - start} rounds"
-                    )
-    if ev.round >= max(w.n_bal, 1):
-        raise words.CalculusViolation(
-            f"{w} took {ev.round} rounds, bound is {w.n_bal}"
-        )
-    # sequences that ran the doomed direction never reach interlacing
-    for sid in doomed:
-        if sid in ev.ids:
-            raise words.CalculusViolation(f"{w}: {doomed_rule} sequence {sid} survived")
+        if (rule != words.Rule.MERGE and span2[1] < n
+                and (span2[0] - span[0]) % n not in (0, 1, n - 1)):
+            raise _violation(w, t + 1, span2, "sequence {} jumped")
+        if facts2 is None:  # x2 is interlaced
+            fate, doom = 0, _SURVIVED
+        else:
+            rule2, fate2, doom = facts2[j]
+            if rule2 not in _REDUCING:
+                if rule in _REDUCING:
+                    raise _violation(w, t + 1, span2, f"sequence {{}} stopped reducing ({rule2})")
+            elif rule not in _REDUCING:
+                _check_reduction(w, t + 1, span2, fate2)
+            fate = fate2 + 1 if fate2 else 0
+        # sequences that ran the doomed direction never reach interlacing
+        if rule == doomed_rule and doom is not None:
+            raise _violation(w, t, span, f"{doomed_rule} sequence {{}} survived"
+                             if doom == _SURVIVED else f"sequence {{}} ran {doom} after {doomed_rule}")
+        facts.append((rule, fate, rule if rule in forbidden else doom))
+    return tuple(facts)
 
-    final = ev.word
+
+def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
+    """Judge start word w against every lemma of the word calculus and
+    return its rounds to interlacing.
+
+    ``memo`` maps the letters of each word of w's length judged so far to
+    (rounds to interlacing, final word, sequence spans, facts), the facts
+    being `_judge_round`'s per sequence, or None for an interlaced word.
+    w walks forward, at most n rounds, to the first word that is in
+    ``memo`` or interlaced; the walked words are then judged backwards,
+    each round once, from its successor's entry, and the successor's
+    spans serve as the next word's decomposition.
+
+    This equals walking every start word round by round.  A round's
+    labels are a pure function of its word's letters.  Each check reads
+    one round, or one lineage whose outcome (when a reducing sequence
+    dies; whether a doomed one runs a forbidden rule or survives) follows
+    from its round and its successor's facts; a lineage begins reducing at
+    w or after a round it did not reduce in, and its death is checked
+    there.  A word enters ``memo`` only once its round passed every check,
+    so the first start word, in enumeration order, whose walk reaches a
+    violation is the one named, though it may be named by another of the
+    checks it breaks.
+
+    The n_bal bound and the balanced endgame are checked per start word.
+    The absorbing-regime probe runs per unbalanced final word not yet in
+    ``probed``, and reads each interlaced word's step once from ``probes``.
+    """
+    n = w.n
+    path = []  # the walked words, w first
+    x2 = w
+    while (entry := memo.get(x2.letters)) is None:
+        if words.is_interlaced(x2)[0]:
+            entry = memo[x2.letters] = (0, x2, words.decompose(x2).sequences, None)
+            break
+        if len(path) == n:
+            raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
+        path.append(x2)
+        x2 = words.step_word(x2)
+    if entry[0] + len(path) > n:
+        raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
+    for t in range(len(path) - 1, -1, -1):
+        x = path[t]
+        spans = words.decompose(x).sequences
+        facts = _judge_round(w, t, x, spans, x2, entry)
+        entry = memo[x.letters] = (entry[0] + 1, entry[1], spans, facts)
+        x2 = x
+    rounds, final, spans, facts = entry
+    for span, (rule, fate, _) in zip(spans, facts or ()):
+        if rule in _REDUCING:
+            _check_reduction(w, 0, span, fate)
+    if rounds >= max(w.n_bal, 1):
+        raise words.CalculusViolation(f"{w} took {rounds} rounds, bound is {w.n_bal}")
+
     if final.n == 2 * final.n_bal:
-        dec = ev.decomposition
-        if len(dec.sequences) != 1 or dec.sequences[0][1] != n:
+        final_spans = memo[final.letters][2]
+        if len(final_spans) != 1 or final_spans[0][1] != n:
             raise words.CalculusViolation(f"{w}: balanced endgame not a single cycle")
     elif final not in probed:
         # unbalanced absorbing behavior: every sequence slides through the
         # majority letters forever (Move+ for a '+' majority, mirrored else)
-        absorbing = words.Rule.MOVE_PLUS if plus_majority else words.Rule.MOVE_MINUS
-        probe = words.TrackedEvolution(final, table)
+        absorbing = _roles(w)[2]
+        x = final
         for _ in range(min(n, 6)):
-            probe.step()
-            if any(r != absorbing for r in probe.rules.values()):
-                raise words.CalculusViolation(
-                    f"{w}: interlaced word not in {absorbing} regime"
-                )
+            step = probes.get(x.letters)
+            if step is None:
+                probe = words.TrackedEvolution(x)
+                step = probes[x.letters] = (probe.step(), all(
+                    r == absorbing for r in probe.rules.values()))
+            x, absorbed = step
+            if not absorbed:
+                raise words.CalculusViolation(f"{w}: interlaced word not in {absorbing} regime")
         probed.add(final)
-    return ev.round
+    return rounds
 
 
 def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
     """Run `_word_checks` on every word of 2..max_n letters with n_bal > 0.
 
-    The absorbing-regime probe runs once per distinct unbalanced
-    interlaced word: the set of probed words lives for one call only.
-    The transition table lives for one word length: a word steps only to
-    words of its own length.
+    A word steps only to words of its own length, so the memo, the probe
+    steps and the probed final words live for one length.
     """
     res = SuiteResult("words-exhaustive")
     count = max_rounds = 0
-    probed: set[words.Word] = set()
     violation = None
     for n in range(2, max_n + 1):
-        table: dict[tuple[int, ...], words.Transition] = {}
+        memo: dict = {}
+        probes: dict = {}
+        probed: set[words.Word] = set()
         for bits in itertools.product((1, -1), repeat=n):
             w = words.Word(bits)
             if w.n_bal == 0:
                 continue
             try:
-                max_rounds = max(max_rounds, _word_checks(w, probed, table))
+                max_rounds = max(max_rounds, _word_checks(w, memo, probes, probed))
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break

@@ -5,7 +5,9 @@ the word flips every cyclically adjacent (+, -) pair (the meeting pairs,
 which are automatically disjoint).  Maximal even alternating runs
 "+-...+-" are *sequences*; between rounds each sequence follows one of
 the rules Move+ / Move- / Expand / Reduce (plus Merge and Disappear),
-determined by the letters around it.
+determined by the letters around it.  A transition's rules and successors
+are a pure function of the word's letters, which is what lets
+`verify.words_exhaustive_suite` judge each word once.
 """
 
 from __future__ import annotations
@@ -159,8 +161,14 @@ class Rule(str, Enum):
     DISAPPEAR = "Disappear"
 
 
-def span_positions(start: int, length: int, n: int) -> frozenset[int]:
-    return frozenset((start + k) % n for k in range(length))
+def _span_mask(start: int, length: int, n: int) -> int:
+    """The positions start, ..., start + length - 1 (mod n) as bits of an int."""
+    run = (1 << length) - 1
+    return (run << start | run >> (n - start)) & ((1 << n) - 1)
+
+
+def _positions(mask: int, n: int) -> list[int]:
+    return [i for i in range(n) if mask >> i & 1]
 
 
 def _base_rule(w: Word, start: int, length: int) -> tuple[Rule, tuple[int, int] | None]:
@@ -200,40 +208,43 @@ def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
     """
     if step_word(w) != w_next:
         raise ValueError("w_next is not step_word(w)")
-    return _label_transition(w, w_next, decompose(w), decompose(w_next))[0]
+    return _label_transition(w, w_next, decompose(w).sequences,
+                             decompose(w_next).sequences)[0]
 
 
 def _label_transition(
-    w: Word, w_next: Word, dec: SequenceDecomposition, dec_next: SequenceDecomposition
+    w: Word, w_next: Word, spans: tuple[tuple[int, int], ...],
+    next_spans: tuple[tuple[int, int], ...],
 ) -> tuple[list[TransitionLabel], list[list[int]]]:
-    """`classify_transition` on given decompositions of w and w_next.
+    """`classify_transition` on given sequence spans of w and w_next (the
+    ``sequences`` of their decompositions).
 
     Also returns, for each sequence of w_next in order, the indices of the
-    sequences of w whose successors tile it.
+    sequences of w whose successors tile it.  Spans are compared as int
+    bitmasks of their positions.
     """
     n = w.n
-    base: list[tuple[tuple[int, int], Rule, tuple[int, int] | None]] = []
-    for start, length in dec.sequences:
-        rule, succ = _base_rule(w, start, length)
-        base.append(((start, length), rule, succ))
-
-    succ_sets = [span_positions(*s[2], n) if s[2] else frozenset() for s in base]
-    next_sets = [span_positions(st, ln, n) for st, ln in dec_next.sequences]
+    base = [(span, *_base_rule(w, *span)) for span in spans]
+    succ_masks = [_span_mask(*succ, n) if succ else 0 for _, _, succ in base]
 
     # group predecessors onto the canonical spans of the next word
     merged = [False] * len(base)
     claimed = [False] * len(base)
     preds_by_target = []
-    for target in next_sets:
-        preds = [k for k, ss in enumerate(succ_sets) if ss and ss & target]
+    for span in next_spans:
+        target = _span_mask(*span, n)
+        preds = [k for k, ss in enumerate(succ_masks) if ss & target]
         if not preds:
             raise CalculusViolation(
-                f"{w} -> {w_next}: sequence at {sorted(target)} has no predecessor"
+                f"{w} -> {w_next}: sequence at {_positions(target, n)} has no predecessor"
             )
-        union = frozenset().union(*(succ_sets[k] for k in preds))
+        union = 0
+        for k in preds:
+            union |= succ_masks[k]
         if union != target:
             raise CalculusViolation(
-                f"{w} -> {w_next}: successors {sorted(union)} do not tile {sorted(target)}"
+                f"{w} -> {w_next}: successors {_positions(union, n)} "
+                f"do not tile {_positions(target, n)}"
             )
         for k in preds:
             if claimed[k]:
@@ -242,24 +253,17 @@ def _label_transition(
             if len(preds) > 1:
                 merged[k] = True
         preds_by_target.append(preds)
-    for k, ss in enumerate(succ_sets):
+    for k, ss in enumerate(succ_masks):
         if ss and not claimed[k]:
             raise CalculusViolation(
-                f"{w} -> {w_next}: successor {sorted(ss)} of sequence {base[k][0]} vanished"
+                f"{w} -> {w_next}: successor {_positions(ss, n)} "
+                f"of sequence {base[k][0]} vanished"
             )
 
     labels = [TransitionLabel(start=start, length=length,
                               rule=Rule.MERGE if merged[k] else rule, successor=succ)
               for k, ((start, length), rule, succ) in enumerate(base)]
     return labels, preds_by_target
-
-
-# One word's transition, as `TrackedEvolution.step` reads it: the next
-# word, its decomposition, the rule of each sequence (by index into the
-# current decomposition), the indices of the sequences that disappear, and
-# for each sequence of the next word the indices that tile it.
-Transition = tuple[Word, SequenceDecomposition, tuple[Rule, ...], tuple[int, ...],
-                   tuple[tuple[int, ...], ...]]
 
 
 class TrackedEvolution:
@@ -272,20 +276,9 @@ class TrackedEvolution:
     lists the id groups that merged.  Each round steps and decomposes
     the word once: the current word's decomposition carries over from
     the round that produced it.
-
-    ``table``, when given, maps a word's letters to its `Transition` and is
-    shared by every evolution a caller builds.  This is exact: a transition
-    is a pure function of the letters (the carried decomposition is
-    ``decompose(word)``, and ids enter only after the lookup, through their
-    order, which is that of the decomposition).  An entry is stored only
-    after `_label_transition` succeeds, so a word whose transition raises
-    `CalculusViolation` raises again in every evolution that reaches it.
-    Only transitions from a word that a step produced (``round > 0``) are
-    stored: a caller that enumerates start words steps each from round 0
-    once, and one that a step also produces is stored then.
     """
 
-    def __init__(self, w: Word, table: dict[tuple[int, ...], Transition] | None = None):
+    def __init__(self, w: Word):
         self.word = w
         self.round = 0
         self.decomposition = decompose(w)
@@ -294,24 +287,12 @@ class TrackedEvolution:
         self.lengths: dict[int, int] = {k: span[1] for k, span in self.ids.items()}
         self.rules: dict[int, Rule] = {}
         self.merges: list[set[int]] = []
-        self._table = table
-
-    def _transition(self) -> Transition:
-        w2 = step_word(self.word)
-        dec2 = decompose(w2)
-        labels, preds_by_target = _label_transition(self.word, w2, self.decomposition, dec2)
-        return (w2, dec2, tuple(lab.rule for lab in labels),
-                tuple(k for k, lab in enumerate(labels) if lab.successor is None),
-                tuple(map(tuple, preds_by_target)))
 
     def step(self) -> Word:
-        table = self._table
-        entry = None if table is None else table.get(self.word.letters)
-        if entry is None:
-            entry = self._transition()
-            if table is not None and self.round > 0:
-                table[self.word.letters] = entry
-        w2, dec2, rules, gone, preds_by_target = entry
+        w2 = step_word(self.word)
+        dec2 = decompose(w2)
+        labels, preds_by_target = _label_transition(
+            self.word, w2, self.decomposition.sequences, dec2.sequences)
         sids = list(self.ids)
 
         new_ids: dict[int, tuple[int, int]] = {}
@@ -327,15 +308,16 @@ class TrackedEvolution:
             for k in members:
                 if k != survivor:
                     lengths[k] = 0
-        for k in gone:
-            lengths[sids[k]] = 0
+        for sid, lab in zip(sids, labels):
+            if lab.successor is None:
+                lengths[sid] = 0
 
         self.word = w2
         self.decomposition = dec2
         self.round += 1
         self.ids = new_ids
         self.lengths = lengths
-        self.rules = dict(zip(sids, rules))
+        self.rules = {sid: lab.rule for sid, lab in zip(sids, labels)}
         self.merges = groups
         return w2
 

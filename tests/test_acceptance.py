@@ -181,6 +181,8 @@ def test_criterion_6_consensus_oracle():
     res = verify.consensus_suite(n_fleets=200, seed=7, engine_crosschecks=3)
     elapsed = time.perf_counter() - start
     assert res.ok, res.summary_lines()
+    assert res.checks[1][2] == "worst case 8674 sweeps"
+    assert res.checks[2][2].endswith("max sweeps above prediction 1.00")
     assert elapsed < 60.0
     details = "; ".join(d for _, _, d in res.checks)
     _report(6, "consensus oracle", details + f" in {elapsed:.1f}s")

@@ -580,6 +580,13 @@ class TestSweep:
         assert f"error: {flag} must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--vary-n", "5..2", "--closed-form-only", "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --vary-n must list at least one value, got '5..2'\n"
+        assert not out.exists()
+
     def test_requires_exactly_one_mode(self, tmp_path):
         rc = cli.main(["sweep", "-o", str(tmp_path / "s.csv")])
         assert rc == 1

@@ -204,6 +204,36 @@ class TestIterate:
                 consensus.average_link(e, m.speeds, i)
                 assert float(v @ e) == pytest.approx(total, rel=1e-12)
 
+    @staticmethod
+    def _link_by_link(m, e0, tol=1e-9, max_sweeps=10_000):
+        # the reference: a round-robin sweep of average_link calls
+        e = [float(x) for x in e0]
+        target = consensus.fixed_point(m.speeds, e0)
+        for sweep in range(1, max_sweeps + 1):
+            for i in range(m.n - 1):
+                consensus.average_link(e, m.speeds, i)
+            if max(abs(x - target) for x in e) < tol:
+                return e, sweep, True
+        return e, max_sweeps, False
+
+    @pytest.mark.parametrize("speeds, e0, max_sweeps", [
+        ([1.0, 3.0], [4.0, 2.0], 10_000),
+        ([0.4, 2.5], [100.0, -3.0], 10_000),
+        ([1.0, 2.0, 3.0], [7.0, 7.0, 7.0], 10_000),
+        ([0.3, 9.0, 0.2, 4.0, 1.0], [10.0, 0.0, 5.0, 1.0, 7.0], 3),
+    ])
+    def test_sweep_equals_link_by_link(self, speeds, e0, max_sweeps):
+        m = consensus.build_matrices(speeds)
+        assert (consensus.iterate_consensus(m, e0, max_sweeps=max_sweeps)
+                == self._link_by_link(m, e0, max_sweeps=max_sweeps))
+
+    def test_sweep_equals_link_by_link_on_random_fleets(self, rng):
+        for _ in range(30):
+            n = rng.randint(2, 20)
+            m = consensus.build_matrices([rng.uniform(0.2, 10.0) for _ in range(n)])
+            e0 = [rng.uniform(0.0, 500.0) for _ in range(n)]
+            assert consensus.iterate_consensus(m, e0) == self._link_by_link(m, e0)
+
     def test_sweep_cap_reports_nonconvergence(self):
         m = consensus.build_matrices([1.0, 1.0, 1.0])
         _, _, converged = consensus.iterate_consensus(

@@ -238,78 +238,26 @@ class TestTrackedEvolution:
                 assert got == expected, f"{w} round {ev.round}"
                 assert ev.decomposition == decompose(ev.word)
 
-    @staticmethod
-    def _state(ev):
-        return (ev.round, ev.word, ev.decomposition, ev.ids, ev.lengths, ev.rules,
-                ev.merges)
-
-    def test_shared_table_matches_fresh_steps(self):
-        # the exhaustive suite's pattern: one table per length, shared by
-        # every start word in enumeration order and by the probe from its
-        # interlaced word; every state must equal a table-less evolution's
-        for n in range(2, 10):
-            table = {}
-            for bits in itertools.product((1, -1), repeat=n):
-                w = Word(bits)
-                if w.n_bal == 0:
-                    continue
-                tabled, fresh = TrackedEvolution(w, table), TrackedEvolution(w)
-                while not is_interlaced(fresh.word)[0]:
-                    tabled.step()
-                    fresh.step()
-                    assert self._state(tabled) == self._state(fresh), f"{w} round {fresh.round}"
-                tabled, fresh = TrackedEvolution(fresh.word, table), TrackedEvolution(fresh.word)
-                for _ in range(min(n, 6)):
-                    tabled.step()
-                    fresh.step()
-                    assert self._state(tabled) == self._state(fresh), f"probe of {w}"
-            assert table, f"n={n}: nothing was tabled"
-
-    def test_failed_labelling_leaves_no_entry(self, monkeypatch):
-        start = W("+++---")
-        bad = step_word(start)  # "++-+--", stepped from in round 1
-        assert not is_interlaced(bad)[0]
-        original = words._label_transition
-        failures = []
-
-        def label(w, *args):
-            if w == bad:
-                failures.append(w)
-                raise CalculusViolation(f"{w}: injected")
-            return original(w, *args)
-
-        monkeypatch.setattr(words, "_label_transition", label)
-        table = {}
-        for attempt in (1, 2):
-            ev = TrackedEvolution(start, table)
-            ev.step()
-            with pytest.raises(CalculusViolation, match="injected"):
-                ev.step()
-            assert bad.letters not in table
-            assert len(failures) == attempt
-        # the same two rounds without the fault do store the transition
-        monkeypatch.setattr(words, "_label_transition", original)
-        ev = TrackedEvolution(start, table)
-        ev.step()
-        ev.step()
-        assert bad.letters in table
-
 
 class TestExhaustiveSuite:
     TARGET = W("++-+-")  # unbalanced and interlaced; "+++--" also ends there
 
-    def _first_start_reaching(self, target, max_n):
+    def _first_start_probing(self, target, max_n):
+        # the probe of a final word steps it and the next min(n, 6) - 1 words
         for w in _nonuniform_words(max_n):
-            final = w
-            while not is_interlaced(final)[0]:
-                final = step_word(final)
-            if final == target:
-                return w
-        raise AssertionError(f"no start word reaches {target}")
+            x = w
+            while not is_interlaced(x)[0]:
+                x = step_word(x)
+            for _ in range(min(w.n, 6)):
+                if x == target:
+                    return w
+                x = step_word(x)
+        raise AssertionError(f"no probe steps {target}")
 
     def _probe_patch(self, monkeypatch, break_it):
-        # Only the absorbing-regime probe steps from an interlaced word, so
-        # round-0 steps from TARGET are exactly the probes of TARGET.
+        # The suite steps a TrackedEvolution only to probe an interlaced
+        # word (and to number the sequence a violation names), so round-0
+        # steps from TARGET are exactly the probes of TARGET.
         original = TrackedEvolution.step
         probes = []
 
@@ -327,14 +275,14 @@ class TestExhaustiveSuite:
 
     def test_probe_runs_once_per_interlaced_word(self, monkeypatch):
         probes = self._probe_patch(monkeypatch, break_it=False)
-        assert self._first_start_reaching(self.TARGET, 7) != self.TARGET
+        assert self._first_start_probing(self.TARGET, 7) != self.TARGET
         res = verify.words_exhaustive_suite(max_n=7)
         assert res.ok
         assert len(probes) == 1
 
     def test_failing_probe_names_first_start_word(self, monkeypatch):
         self._probe_patch(monkeypatch, break_it=True)
-        first = self._first_start_reaching(self.TARGET, 7)
+        first = self._first_start_probing(self.TARGET, 7)
         res = verify.words_exhaustive_suite(max_n=7)
         assert not res.ok
         [(name, ok, detail)] = res.checks
@@ -356,75 +304,124 @@ def test_word_sizes_and_letter_check():
             Word(bad)
 
 
-def _late_death(ev, before, last):
-    # hide each Disappear's 0, then report it one round later
-    for sid, rule in ev.rules.items():
-        if rule == Rule.DISAPPEAR:
-            del ev.lengths[sid]
-    for sid, rule in last.items():
-        if rule == Rule.DISAPPEAR:
-            ev.lengths[sid] = 0
+def _facts(monkeypatch, change):
+    # what a judged word hands its predecessors: (rule, fate, doom) per sequence
+    original = verify._judge_round
+    monkeypatch.setattr(verify, "_judge_round",
+                        lambda *args: tuple(change(*fact) for fact in original(*args)))
 
 
-def _reducing_as_move_plus(ev, before, last):
-    for sid, rule in last.items():
-        if rule == Rule.REDUCE:
-            ev.rules[sid] = Rule.MOVE_PLUS
-            return
+def _late_death(monkeypatch):
+    # every death reported one round late
+    _facts(monkeypatch, lambda rule, fate, doom: (rule, fate + 1 if fate else 0, doom))
 
 
-def _doomed_as_expand(ev, before, last):
-    w = ev.word
-    doomed = Rule.MOVE_MINUS if w.n_plus >= w.n_minus else Rule.MOVE_PLUS
-    for sid, rule in last.items():
-        if rule == doomed and sid in ev.rules:
-            ev.rules[sid] = Rule.EXPAND
-            return
+def _reducing_as_move_plus(monkeypatch):
+    # a Disappear reported to its predecessor as Move+
+    _facts(monkeypatch, lambda rule, fate, doom:
+           (Rule.MOVE_PLUS if rule == Rule.DISAPPEAR else rule, fate, doom))
 
 
-def _start_shifted_by_2(ev, before, last):
-    n = ev.word.n
-    for sid, (st, ln) in ev.ids.items():
-        if sid in before and ln < n and ev.rules[sid] != Rule.MERGE:
-            pst = before[sid][0]
-            if (st + 2 - pst) % n not in (n - 1, 0, 1):
-                ev.ids[sid] = ((st + 2) % n, ln)
-                return
+def _doomed_as_expand(monkeypatch):
+    # every lineage reported to run Expand before it is gone
+    _facts(monkeypatch, lambda rule, fate, doom: (rule, fate, doom or Rule.EXPAND))
 
 
-def _extra_id(ev, before, last):
-    if len(ev.ids) == len(before):
-        ev.ids[max(before) + 1] = (0, 2)
+def _successors_swapped(monkeypatch):
+    # a round's first two sequences reported to land on each other's successor
+    original = words._label_transition
+
+    def label(*args):
+        labels, preds = original(*args)
+        if len(preds) >= 2 and len(preds[0]) == len(preds[1]) == 1:
+            preds = [preds[1], preds[0], *preds[2:]]
+        return labels, preds
+
+    monkeypatch.setattr(words, "_label_transition", label)
+
+
+def _extra_id(monkeypatch):
+    # "++-+--" lists its one sequence twice; "+++---" steps to it
+    original = words.decompose
+
+    def decompose(w):
+        dec = original(w)
+        if str(w) == "++-+--":
+            return words.SequenceDecomposition(dec.n, dec.sequences * 2, dec.letters)
+        return dec
+
+    monkeypatch.setattr(words, "decompose", decompose)
+
+
+def _exhaustive_detail(max_n=8):
+    res = verify.words_exhaustive_suite(max_n=max_n)
+    [(name, ok, detail)] = res.checks
+    assert not ok, detail
+    return detail
 
 
 class TestEachRoundCheckFires:
-    """Falsify one round of what `TrackedEvolution.step` reports; the
-    exhaustive suite must reject it with that round's message.  Words of
+    """Falsify what the suite reads of a round: its labels, a word's
+    decomposition, or the facts a judged word hands its predecessors.  The
+    exhaustive suite must reject it with that check's message.  Words of
     up to 7 letters run no Move+, Move- or Reduce, so the suite runs to 8."""
 
     @pytest.mark.parametrize("corrupt, message", [
         (_reducing_as_move_plus, r"sequence \d+ stopped reducing \(Move\+\)"),
         (_doomed_as_expand, r"sequence \d+ ran Expand after Move[+-]"),
-        (_start_shifted_by_2, r"sequence \d+ jumped"),
+        (_successors_swapped, r"sequence \d+ jumped"),
         (_extra_id, r"sequence count grew"),
         (_late_death, r"sequence \d+ reduced from \d+ in \d+ rounds"),
     ])
     def test_corrupted_round_fails(self, monkeypatch, corrupt, message):
-        # corrupt(ev, before, last) sees the ids before the step and the
-        # rules the same evolution reported one step earlier
-        original = TrackedEvolution.step
-        memo = {"ev": None, "rules": {}}
-
-        def step(ev):
-            before = ev.ids
-            w2 = original(ev)
-            last = memo["rules"] if memo["ev"] is ev else {}
-            memo["ev"], memo["rules"] = ev, dict(ev.rules)
-            corrupt(ev, before, last)
-            return w2
-
-        monkeypatch.setattr(TrackedEvolution, "step", step)
-        res = verify.words_exhaustive_suite(max_n=8)
-        assert not res.ok
-        [(name, ok, detail)] = res.checks
+        corrupt(monkeypatch)
+        detail = _exhaustive_detail()
         assert re.fullmatch(r"[+-]+: " + message, detail), detail
+
+    def test_reduction_is_judged_where_the_walk_reaches_it(self, monkeypatch):
+        # "+++--+--", the first start word to reach "++-+--+-", steps to it
+        # in one round; there a sequence disappears after a round it did not
+        # reduce in.  Its death reported late names "+++--+--".
+        late, original = W("++-+--+-"), verify._judge_round
+
+        def judge(w, t, x, *args):
+            facts = original(w, t, x, *args)
+            return tuple((r, f + 1 if f else 0, d) for r, f, d in facts) if x == late else facts
+
+        monkeypatch.setattr(verify, "_judge_round", judge)
+        detail = _exhaustive_detail()
+        assert re.fullmatch(r"\+\+\+--\+--: sequence \d+ reduced from 2 in 2 rounds", detail), detail
+
+
+def _reported_interlaced(monkeypatch, word, interlaced):
+    original = words.is_interlaced
+    monkeypatch.setattr(words, "is_interlaced",
+                        lambda w: (interlaced, []) if w == word else original(w))
+
+
+class TestEachWalkCheckFires:
+    """The checks of a start word's walk as a whole, each fed one
+    falsified step or interlacing test."""
+
+    def test_cycling_step_never_interlaces(self, monkeypatch):
+        # a step that rotates every word not yet interlaced
+        original = words.step_word
+        monkeypatch.setattr(words, "step_word", lambda w: original(w) if is_interlaced(w)[0]
+                            else Word(w.letters[1:] + w.letters[:1]))
+        assert _exhaustive_detail() == "++-- did not interlace within 4 rounds"
+
+    def test_a_round_late_breaks_the_bound(self, monkeypatch):
+        # "+++--" (n_bal = 2) steps to "++-+-", reported not interlaced
+        _reported_interlaced(monkeypatch, W("++-+-"), False)
+        assert _exhaustive_detail() == "+++-- took 2 rounds, bound is 2"
+
+    def test_balanced_endgame_is_one_cycle(self, monkeypatch):
+        _reported_interlaced(monkeypatch, W("++--"), True)
+        assert _exhaustive_detail() == "++--: balanced endgame not a single cycle"
+
+    def test_doomed_sequence_must_not_survive(self, monkeypatch):
+        # the first round of 8 letters that runs Move- ('+' majority)
+        w = W("+++--+--")
+        assert Rule.MOVE_MINUS in [l.rule for l in classify_transition(w, step_word(w))]
+        _reported_interlaced(monkeypatch, step_word(w), True)
+        assert re.fullmatch(r"\+\+\+--\+--: Move- sequence \d+ survived", _exhaustive_detail())
