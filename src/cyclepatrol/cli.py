@@ -186,11 +186,17 @@ def cmd_sweep(args) -> int:
     if args.vary_n is not None:
         if not all(x.is_integer() and x >= 2 for x in values):
             return _bad_flag(flag, f"must list integer fleet sizes >= 2, got {spec!r}")
-        sweep, values, label = verify.sweep_fleet_size, [int(n) for n in values], "vary_n"
+        values = [int(n) for n in values]
+        sweep, build, label = verify.sweep_fleet_size, verify.size_fleet, "vary_n"
     else:
         if not all(0.0 < f < math.inf for f in values):
             return _bad_flag(flag, f"must list finite factors > 0, got {spec!r}")
-        sweep, label = verify.sweep_capability_factor, "factor"
+        sweep, build, label = verify.sweep_capability_factor, verify.factor_fleet, "factor"
+    for x in values:  # every point's fleet, before any point is measured
+        try:
+            build(x, args.v, args.r, args.L)
+        except ValueError as exc:
+            return _bad_flag(flag, f"value {x}: {exc}")
     rows = sweep(values, v=args.v, r=args.r, L=args.L, seed=args.seed, measure=measure)
     try:
         write_rows(args.output, f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n",

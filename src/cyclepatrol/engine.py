@@ -1,28 +1,31 @@
 """Exact continuous-time, event-driven execution of the patrolling protocol.
 
 Robots move at constant speed between events, so every event time has a
-closed form; nothing is time-stepped.  The four event kinds:
+closed form; nothing is time-stepped.  An arrival is a robot's zone
+touching a boundary it knows; the robot parks there unless its partner
+across it waits there.  Every other event is the pair at boundary j
+meeting there, one transition whatever led to it: both robots pin where
+their zones touch y[j] as it now stands, so the following traversal takes
+exactly its traversing time, and both reverse, moving.  What comes first
+names the event:
 
-* discovery - two approaching robots with opposite orientations touch
-  communication zones and initialize their common boundary, reversing.
-* catch - same-orientation contact; the chasing robot parks at the new
-  boundary, the caught robot keeps going.
-* arrival - a robot's zone touches a boundary it knows; it parks there
-  unless the neighbor is already waiting.
-* meeting - both robots of a pair are at their common boundary; the
-  boundary moves by the pairwise weighted average (skipped for the fixed
-  seam boundary), and both reverse reactivated.
+* discovery - approaching robots' zones touch across an unknown boundary,
+  and the touching point becomes y[j];
+* meeting - an arrival finds its partner waiting; y[j] first moves by the
+  pairwise weighted average when the pair knows both boundaries beyond it.
 
-The seam at position 0 == L is a fixed boundary between the last and
-first robots (it is never averaged); each of the two learns it by
-arriving there, and the pair never produces discovery or catch events
-across it.
+A catch, a same-orientation contact, sets y[j] as a discovery does and
+pins through the same contacts, but the chasing robot parks and the
+caught one keeps going.  The seam at position 0 == L is a fixed boundary
+between the last and first robots, never averaged; each of the two learns
+it by arriving there, and no discovery or catch crosses it.  This is the
+discrete-asynchronous reading of the protocol, and it makes the event
+times reproducible by the matrix oracle and the round model to tight
+tolerances.
 
-At a meeting both positions re-pin to the *updated* boundary's contact
-points, so the following traversal takes exactly the updated traversing
-time.  This is the discrete-asynchronous reading of the protocol and is
-what makes the event times reproducible by the matrix oracle and the
-round model to tight tolerances.
+A3 is one check, for every robot at t = 0 and for a robot whose radius
+grows: its zone lies inside [0, L], fits between the boundaries it knows
+(unknown ones pass) and clears its neighbours' zones.
 
 Scheduling is a kinetic event queue (the certificate pattern of kinetic
 data structures, Basch, Guibas & Hershberger, SODA 1997).  Each candidate
@@ -86,7 +89,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .fleet import FleetConfig
+from .fleet import FleetConfig, compute_t_star
 
 NAN = float("nan")
 
@@ -269,6 +272,8 @@ class Simulation:
     positions are pinned to exact contact values at events, so repeated
     runs produce bit-identical traces.
 
+    ``fleet`` is the fleet in force, its parameters changed as the run
+    changes them; ``trace.fleet`` stays the starting one.
     ``y[j]`` is boundary j, between robots j and j+1, NaN while unknown;
     the seam y[n-1] = L is fixed.  Robot i is parked iff ``act[i] == 0``,
     and then waits at ``contact(y, i, o[i], r[i])``.
@@ -296,14 +301,14 @@ class Simulation:
         self.n = n
         self.v = [rb.v for rb in fleet.robots]
         self.r = [rb.r for rb in fleet.robots]
+        self.t = 0.0
+        self.y = [NAN] * (n - 1) + [self.L]
         self._validate_initial(positions, orientations)
 
-        self.t = 0.0
         self.p_pin = [float(p) for p in positions]
         self.t_pin = [0.0] * n
         self.o = [int(x) for x in orientations]
         self.act = [1] * n
-        self.y = [NAN] * (n - 1) + [self.L]
         self.seam_known_left = False   # robot 0 has recorded the seam
         self.seam_known_right = False  # robot n-1 has recorded the seam
         self._pending_changes: list[dict] = []
@@ -322,32 +327,37 @@ class Simulation:
     # -- validation ---------------------------------------------------
 
     def _validate_initial(self, positions, orientations):
-        """A2 and A3 at t = 0.  Each position test is written to fail on
-        NaN, so a NaN start position is rejected, naming its robot."""
-        n = self.n
-        ids = [rb.id for rb in self.fleet.robots]
-        for rid, o in zip(ids, orientations):
+        """A2, and A3 for every robot at t = 0."""
+        for rb, o in zip(self.fleet.robots, orientations):
             if o not in (-1, 1):
-                raise AssumptionError(f"robot {rid}: orientation must be -1 or +1, got {o}")
+                raise AssumptionError(f"robot {rb.id}: orientation must be -1 or +1, got {o}")
         if len(set(orientations)) < 2:
             raise AssumptionError("A2 violated: all robots share one orientation")
-        for i in range(n - 1):
-            if not positions[i] <= positions[i + 1]:
-                raise AssumptionError(
-                    "A3 violated: initial positions must be sorted by robot index: "
-                    f"robot {ids[i]} at {positions[i]}, robot {ids[i + 1]} at {positions[i + 1]}"
-                )
-        for i in range(n):
-            if not (positions[i] - self.r[i] >= 0 and positions[i] + self.r[i] <= self.L):
-                raise AssumptionError(
-                    f"A3 violated: robot {ids[i]} communication zone leaves [0, L]"
-                )
-        for i in range(n - 1):
-            if not positions[i] + self.r[i] <= positions[i + 1] - self.r[i + 1]:
-                raise AssumptionError(
-                    f"A3 violated: zones overlap: robot {ids[i]} at {positions[i]} with "
-                    f"r={self.r[i]}, robot {ids[i + 1]} at {positions[i + 1]} with r={self.r[i + 1]}"
-                )
+        for i, p in enumerate(positions):
+            self._check_zone(i, p, self.r[i], positions)
+
+    def _check_zone(self, i: int, p: float, r_i: float, pos) -> None:
+        """A3 for robot i at p with radius r_i, its neighbours at pos.  The
+        region and boundary tests pass over NaN, an unknown boundary; the
+        others fail on it, so a NaN position is rejected, naming its robot.
+        With r >= 0, zones that clear their neighbours' are sorted."""
+        n, y, r = self.n, self.y, self.r
+        lo, hi = (0.0 if i == 0 else y[i - 1]), y[i]  # y[n-1] == L
+        a, b = p - r_i, p + r_i
+        if not (0.0 <= a and b <= self.L):
+            problem = f"leaves [0, {self.L}]"
+        elif hi - lo < 2.0 * r_i:
+            problem = f"does not fit its region [{lo}, {hi}], which is shorter than 2r"
+        elif a < lo or b > hi:
+            problem = f"crosses its boundary {lo if a < lo else hi}"
+        else:
+            k = (i - 1 if i > 0 and not pos[i - 1] + r[i - 1] <= a else
+                 i + 1 if i < n - 1 and not b <= pos[i + 1] - r[i + 1] else None)
+            if k is None:
+                return
+            problem = f"overlaps robot {self.fleet.robots[k].id} at {pos[k]} with r={r[k]}"
+        raise AssumptionError(f"A3 violated at t={self.t}: robot {self.fleet.robots[i].id} "
+                              f"at {p} with r={r_i}: its zone [{a}, {b}] {problem}")
 
     # -- geometry helpers ---------------------------------------------
 
@@ -385,10 +395,10 @@ class Simulation:
         self._e[i] = e
 
     def _derive_from_parameters(self) -> None:
-        """What the speeds and radii fix: t_star (as ``compute_t_star``
-        computes it), the tie window, e with the count of robots whose e is
-        not within CONVERGENCE_RTOL of t_star, and the queue."""
-        self.t_star = (self.L - 2.0 * sum(self.r)) / sum(self.v)
+        """What the fleet in force fixes: t_star, the tie window, e with the
+        count of robots whose e is not within CONVERGENCE_RTOL of t_star,
+        and the queue."""
+        self.t_star = compute_t_star(self.fleet)
         self.tie_eps = TIME_EPS * self.L / sum(self.v)
         self._e = [NAN] * self.n
         self._off = self.n
@@ -535,75 +545,72 @@ class Simulation:
                 trace.converged_at = t
 
     def _apply_arrival(self, i: int) -> None:
+        n, y, o = self.n, self.y, self.o
         # the boundary robot i faces: no event changes o between the peek
         # that chose this arrival and here
-        j = i if self.o[i] > 0 else (i - 1) % self.n
-        self.p_pin[i] = contact(self.y, i, self.o[i], self.r[i])
-        self.t_pin[i] = self.t
-        if j == self.n - 1:
+        j = i if o[i] > 0 else (i - 1) % n
+        if j == n - 1:
             if i == 0:
                 self.seam_known_left = True
             else:
                 self.seam_known_right = True
-        partner = (j + 1) % self.n if i == j else j
+        partner = (j + 1) % n if i == j else j
         # the partner waits at j iff it is parked facing the other way
-        if not self.act[partner] and self.o[partner] != self.o[i]:
-            self._apply_meeting(j)
+        if not self.act[partner] and o[partner] != o[i]:
+            left, right = j, (j + 1) % n
+            assert o[left] == 1 and o[right] == -1, "meeting orientations out of order"
+            # the boundaries beyond the pair, NaN while unknown to it
+            lo = (0.0 if self.seam_known_left else NAN) if j == 0 else y[j - 1]
+            hi = (y[right] if self.seam_known_right else NAN) if right == n - 1 else y[right]
+            updated = j < n - 1 and not (math.isnan(lo) or math.isnan(hi))
+            if updated:
+                self._set_y(j, boundary_consensus_update(
+                    lo, hi, self.v[left], self.v[right], self.r[left], self.r[right]))
+            self._meet(j, "meeting", updated)
             return
         # parked: no arrival until a meeting, and the partner's inputs are
         # unchanged; only the closing speed of i's open contacts changes
+        self.p_pin[i] = contact(y, i, o[i], self.r[i])
+        self.t_pin[i] = self.t
         self.act[i] = 0
         self._queue_key(i, None)
         if self._open:
             self._queue_open_contacts(i)
-        self._record("arrival", i, None, j, self.y[j])
+        self._record("arrival", i, None, j, y[j])
 
-    def _apply_meeting(self, j: int) -> None:
-        n, y, r, t = self.n, self.y, self.r, self.t
-        left, right = j, (j + 1) % n
-        assert self.o[left] == 1 and self.o[right] == -1, "meeting orientations out of order"
-        # the boundaries beyond the pair, NaN while unknown to it
-        lo = (0.0 if self.seam_known_left else NAN) if j == 0 else y[j - 1]
-        hi = (y[right] if self.seam_known_right else NAN) if right == n - 1 else y[right]
-        updated = j < n - 1 and not (math.isnan(lo) or math.isnan(hi))
-        if updated:
-            self._set_y(j, boundary_consensus_update(
-                lo, hi, self.v[left], self.v[right], r[left], r[right]))
-        y_val = y[j]
-        # re-pin both to the (possibly moved) boundary's contact points
-        self.p_pin[left] = contact(y, left, 1, r[left])
-        self.p_pin[right] = contact(y, right, -1, r[right])
-        self.t_pin[left] = self.t_pin[right] = t
-        self.o[left] = -1
-        self.o[right] = 1
-        self.act[left] = self.act[right] = 1
+    def _pin_pair(self, j: int) -> tuple[int, int]:
+        """Pin robots j and (j+1) mod n where their zones touch y[j]."""
+        a, b, y, r = j, (j + 1) % self.n, self.y, self.r
+        self.p_pin[a], self.p_pin[b] = contact(y, a, 1, r[a]), contact(y, b, -1, r[b])
+        self.t_pin[a] = self.t_pin[b] = self.t
+        return a, b
+
+    def _meet(self, j: int, kind: str, updated: bool = False) -> None:
+        """The pair at boundary j meets there, at y[j] as it now stands:
+        both pin at its contact points, so the following traversal takes
+        exactly its traversing time, and both reverse moving."""
+        a, b = self._pin_pair(j)
+        self.o[a], self.o[b] = -1, 1
+        self.act[a] = self.act[b] = 1
         self._requeue_around(j)
-        self._record("meeting", left, right, j, y_val, updated=updated)
+        self._record(kind, a, b, j, self.y[j], updated)
 
     def _apply_contact(self, j: int) -> None:
-        t = self.t
+        """Discovery or catch: the zones of robots j and j+1 touch across
+        the unknown boundary j, and the touching point becomes y[j]."""
         a, b = j, j + 1
-        # where the zones touch, from the left robot's zone edge
-        touch = self.position(a, t) + self.r[a]
-        self.p_pin[a] = touch - self.r[a]
-        self.p_pin[b] = touch + self.r[b]
-        self.t_pin[a] = self.t_pin[b] = t
-        if self.o[a] == 1 and self.o[b] == -1:
-            assert self.act[a] and self.act[b], "discovery requires both robots moving"
+        o, act = self.o, self.act
+        touch = self.position(a) + self.r[a]  # from the left robot's zone edge
+        if o[a] == 1 and o[b] == -1:
+            assert act[a] and act[b], "discovery requires both robots moving"
             self._set_y(j, touch)
-            self.o[a] = -1
-            self.o[b] = 1
-            self._requeue_around(j)
-            self._record("discovery", a, b, j, touch)
-        elif self.o[a] == self.o[b]:
+            self._meet(j, "discovery")
+        elif o[a] == o[b]:
+            catcher, caught = (a, b) if o[a] == 1 else (b, a)
+            assert act[catcher], "catcher must be moving"
             self._set_y(j, touch)
-            if self.o[a] == 1:
-                catcher, caught = a, b
-            else:
-                catcher, caught = b, a
-            assert self.act[catcher], "catcher must be moving"
-            self.act[catcher] = 0
-            self.act[caught] = 1
+            self._pin_pair(j)
+            act[catcher], act[caught] = 0, 1
             self._requeue_around(j)
             self._record("catch", a, b, j, touch)
         else:
@@ -682,16 +689,18 @@ class Simulation:
         new_r = self.r[idx] if r is None else float(r)
         speeds, radii = list(self.v), list(self.r)
         speeds[idx], radii[idx] = new_v, new_r
-        self.fleet.with_params(speeds, radii)  # raises unless the changed fleet is valid
-        if new_r > self.r[idx]:
-            self._check_grown_zone(idx, new_r)
+        fleet = self.fleet.with_params(speeds, radii)  # raises unless the changed fleet is valid
+        pos = [self.position(i) for i in range(self.n)]
+        if not self.act[idx]:  # parked, it waits at its contact with the new radius
+            pos[idx] = contact(self.y, idx, self.o[idx], new_r)
+        if new_r > self.r[idx]:  # a shrink cannot break A3
+            self._check_zone(idx, pos[idx], new_r, pos)
         if new_v != self.v[idx] or new_r != self.r[idx]:
             # pin everyone at the change time so past motion keeps old speeds
-            self.p_pin = [self.position(i) for i in range(self.n)]
+            self.p_pin = pos
             self.t_pin = [self.t] * self.n
+            self.fleet = fleet
             self.v[idx], self.r[idx] = new_v, new_r
-            if not self.act[idx]:
-                self.p_pin[idx] = contact(self.y, idx, self.o[idx], new_r)
             self._converged_at = None
             self._derive_from_parameters()
         if self.trace is not None:
@@ -701,34 +710,6 @@ class Simulation:
                 "pins": tuple(zip(self.t_pin, self.p_pin, self.o, self.act))})
             self.trace.converged_at = self._converged_at
             self.trace.t_star = self.t_star
-
-    def _check_grown_zone(self, i: int, r_new: float) -> None:
-        """A3 at a radius growth: at the clock, robot i's zone of radius r_new
-        must fit its region (d_i >= 2 r_i), stay inside the boundaries it
-        knows and clear its neighbours' zones.  A parked robot is checked
-        where it re-pins.  A shrink cannot break any of these.
-
-        An unknown boundary is NaN, and every comparison with NaN is false,
-        so the region and boundary tests pass over what i does not know."""
-        lo = 0.0 if i == 0 else self.y[i - 1]
-        hi = self.y[i]  # y[n-1] == L
-        p = self.position(i) if self.act[i] else contact(self.y, i, self.o[i], r_new)
-        ids = [rb.id for rb in self.fleet.robots]
-        zone = f"its zone [{p - r_new}, {p + r_new}]"
-        if hi - lo < 2.0 * r_new:
-            problem = f"its region [{lo}, {hi}] is shorter than 2r"
-        elif p - r_new < lo:
-            problem = f"{zone} crosses its boundary {lo}"
-        elif p + r_new > hi:
-            problem = f"{zone} crosses its boundary {hi}"
-        elif i > 0 and self.position(i - 1) + self.r[i - 1] > p - r_new:
-            problem = f"{zone} overlaps robot {ids[i - 1]}'s zone"
-        elif i < self.n - 1 and p + r_new > self.position(i + 1) - self.r[i + 1]:
-            problem = f"{zone} overlaps robot {ids[i + 1]}'s zone"
-        else:
-            return
-        raise AssumptionError(
-            f"A3 violated at t={self.t}: robot {ids[i]} with r={r_new}: {problem}")
 
 
 def random_initial_state(cfg: FleetConfig, rng: random.Random,

@@ -64,16 +64,16 @@ MAX_EVENTS = 400_000  # run_to_deep_convergence's event budget
 
 
 def run_to_deep_convergence(sim: Simulation, rtol: float = 1e-11) -> float:
-    """Step until max|e - t_star|/t_star, polled every max(8, 4n) events,
-    drops below rtol, and return it; raise ``rounds.NotConvergedError``
-    after MAX_EVENTS events.  These are the only two exits."""
+    """Step until max|e - t_star|/t_star, polled every max(8, 4n) events
+    (parameter changes due on the way are not counted), drops below rtol,
+    and return it; raise ``rounds.NotConvergedError`` after MAX_EVENTS
+    events.  These are the only two exits."""
     chunk = max(8, 4 * sim.n)
     for _ in range(0, MAX_EVENTS, chunk):
         dev = sim.max_deviation()
         if dev < rtol:
             return dev
-        for _ in range(chunk):
-            sim.step()
+        sim.run_until(max_events=chunk)
     raise rounds.NotConvergedError(f"no convergence to {rtol} within {MAX_EVENTS} events")
 
 
@@ -539,27 +539,30 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
 def sweep_fleet_size(n_values, v: float = 2.0, r: float = 50.0,
                      L: float = 10_000.0, seed: int = 5,
                      measure: bool = True) -> list[dict]:
-    rows = []
-    for n in n_values:
-        robots = tuple(RobotParams(id=i + 1, v=v, r=r) for i in range(n))
-        cfg = FleetConfig(robots=robots, L=L)
-        rows.append(_sweep_point(cfg, label=float(n), seed=seed + n, measure=measure))
-    return rows
+    fleets = [size_fleet(n, v, r, L) for n in n_values]  # all checked before any is measured
+    return [_sweep_point(cfg, label=float(cfg.n), seed=seed + cfg.n, measure=measure)
+            for cfg in fleets]
 
 
 def sweep_capability_factor(factors, v: float = 2.0, r: float = 50.0,
                             L: float = 10_000.0, seed: int = 5,
                             measure: bool = True) -> list[dict]:
-    """Six robots, the first two with speed and radius scaled by each factor."""
-    rows = []
-    for k, f in enumerate(factors):
-        robots = []
-        for i in range(6):
-            scale = f if i < 2 else 1.0
-            robots.append(RobotParams(id=i + 1, v=v * scale, r=r * scale))
-        cfg = FleetConfig(robots=tuple(robots), L=L)
-        rows.append(_sweep_point(cfg, label=float(f), seed=seed + k, measure=measure))
-    return rows
+    """One sweep point per factor, on ``factor_fleet``."""
+    points = [(f, factor_fleet(f, v, r, L)) for f in factors]  # all checked before any is measured
+    return [_sweep_point(cfg, label=float(f), seed=seed + k, measure=measure)
+            for k, (f, cfg) in enumerate(points)]
+
+
+def size_fleet(n: int, v: float, r: float, L: float) -> FleetConfig:
+    """n identical robots: the fleet of one ``sweep_fleet_size`` point."""
+    return FleetConfig(robots=tuple(RobotParams(id=i + 1, v=v, r=r) for i in range(n)), L=L)
+
+
+def factor_fleet(f: float, v: float, r: float, L: float) -> FleetConfig:
+    """Six robots, the first two with speed and radius scaled by f."""
+    scale = [f, f, 1.0, 1.0, 1.0, 1.0]
+    return FleetConfig(robots=tuple(RobotParams(id=i + 1, v=v * s, r=r * s)
+                                    for i, s in enumerate(scale)), L=L)
 
 
 def _sweep_point(cfg: FleetConfig, label: float, seed: int, measure: bool) -> dict:

@@ -272,10 +272,9 @@ class TrackedEvolution:
     Merged groups keep the lowest member id.  Only the last step is kept:
     ``lengths`` maps each id to its length after it (0 for an id that
     disappeared or merged away; the start lengths before any step),
-    ``rules`` maps each id before it to the rule it ran, and ``merges``
-    lists the id groups that merged.  Each round steps and decomposes
-    the word once: the current word's decomposition carries over from
-    the round that produced it.
+    and ``rules`` maps each id before it to the rule it ran.  Each round
+    steps and decomposes the word once: the current word's decomposition
+    carries over from the round that produced it.
     """
 
     def __init__(self, w: Word):
@@ -286,7 +285,6 @@ class TrackedEvolution:
         self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.decomposition.sequences))
         self.lengths: dict[int, int] = {k: span[1] for k, span in self.ids.items()}
         self.rules: dict[int, Rule] = {}
-        self.merges: list[set[int]] = []
 
     def step(self) -> Word:
         w2 = step_word(self.word)
@@ -297,14 +295,11 @@ class TrackedEvolution:
 
         new_ids: dict[int, tuple[int, int]] = {}
         lengths: dict[int, int] = {}
-        groups: list[set[int]] = []
         for span, preds in zip(dec2.sequences, preds_by_target):
             members = [sids[k] for k in preds]
             survivor = min(members)
             new_ids[survivor] = span
             lengths[survivor] = span[1]
-            if len(members) > 1:
-                groups.append(set(members))
             for k in members:
                 if k != survivor:
                     lengths[k] = 0
@@ -318,7 +313,6 @@ class TrackedEvolution:
         self.ids = new_ids
         self.lengths = lengths
         self.rules = {sid: lab.rule for sid, lab in zip(sids, labels)}
-        self.merges = groups
         return w2
 
 

@@ -587,6 +587,23 @@ class TestSweep:
         assert capsys.readouterr().err == "error: --vary-n must list at least one value, got '5..2'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--vary-n", "2,150"],
+         "--vary-n value 150: L - 2*sum(r) = -5000.0 <= 0: cycle is statically coverable"),
+        (["--factor", "1,1000"],
+         "--factor value 1000.0: L - 2*sum(r) = -190400.0 <= 0: cycle is statically coverable"),
+    ], ids=["vary-n", "factor"])
+    def test_statically_coverable_point_exits_2_before_measuring(self, tmp_path, capsys,
+                                                                 monkeypatch, args, message):
+        def measured(*a, **kw):
+            raise AssertionError("a point was measured")
+        monkeypatch.setattr(verify, "converged_simulation", measured)
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", *args, "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_requires_exactly_one_mode(self, tmp_path):
         rc = cli.main(["sweep", "-o", str(tmp_path / "s.csv")])
         assert rc == 1

@@ -18,7 +18,7 @@ from cyclepatrol.engine import (
     contact,
     random_initial_state,
 )
-from cyclepatrol.fleet import FleetConfig, RobotParams, StaticallyCoverableError
+from cyclepatrol.fleet import FleetConfig, RobotParams, StaticallyCoverableError, compute_t_star
 
 from conftest import make_fleet
 
@@ -55,8 +55,13 @@ class TestInitValidation:
 
     def test_overlap_message_names_both_robots(self):
         robots = (RobotParams(id=4, v=1.0, r=10.0), RobotParams(id=9, v=1.0, r=10.0))
-        with pytest.raises(AssumptionError, match=r"zones overlap: robot 4 at 30\.0 .*robot 9 at 35\.0"):
+        with pytest.raises(AssumptionError, match=r"robot 4 at 30\.0 .*overlaps robot 9 at 35\.0"):
             Simulation(FleetConfig(robots=robots, L=100.0), [30.0, 35.0], [1, -1])
+
+    def test_touching_zones_accepted(self):
+        sim = Simulation(make_fleet([1.0] * 3, [10.0] * 3, 100.0),
+                         [10.0, 30.0, 90.0], [1, -1, 1])  # zones [0, 20], [20, 40], [80, 100]
+        assert sim.position(1) == 30.0
 
     def test_unsorted_positions_rejected(self):
         with pytest.raises(AssumptionError, match="A3"):
@@ -319,6 +324,32 @@ class TestParameterChange:
         sim.apply_parameter_change(robot_id=3, r=30.0)
         assert sim.position(2) == sim.y[2] - 30.0
         sim.run_until(max_events=100)
+
+    @staticmethod
+    def three_robot_sim():  # zones [0, 20], [30, 50], [80, 100]
+        return Simulation(make_fleet([1.0] * 3, [10.0] * 3, 100.0), [10.0, 40.0, 90.0], [1, -1, 1])
+
+    def test_radius_growth_to_a_touch_accepted(self):
+        sim = self.three_robot_sim()
+        sim.apply_parameter_change(robot_id=2, r=20.0)  # zone [20, 60] touches robot 1's [0, 20]
+        assert sim.r[1] == 20.0
+        sim.run_until(max_events=50)
+
+    def test_radius_growth_past_a_touch_names_both_robots(self):
+        sim = self.three_robot_sim()
+        with pytest.raises(AssumptionError, match=re.escape(
+                "A3 violated at t=0.0: robot 2 at 40.0 with r=20.5: its zone [19.5, 60.5] "
+                "overlaps robot 1 at 10.0 with r=10.0")):
+            sim.apply_parameter_change(robot_id=2, r=20.5)
+
+    def test_fleet_is_the_fleet_in_force(self, eight_robot_fleet):
+        sim = Simulation(eight_robot_fleet,
+                         *random_initial_state(eight_robot_fleet, random.Random(0)))
+        sim.schedule_parameter_change(100.0, robot_id=5, v=0.35, r=15.0)
+        sim.run_until(t_end=200.0)
+        assert sim.fleet.speeds == tuple(sim.v) and sim.fleet.radii == tuple(sim.r)
+        assert sim.fleet.speeds[4] == 0.35 and sim.t_star == compute_t_star(sim.fleet)
+        assert sim.trace.fleet is eight_robot_fleet  # replay starts from the starting fleet
 
     def test_radius_growth_over_undiscovered_neighbour_rejected(self):
         sim = Simulation(make_fleet([1.0, 1.0, 1.0], [0.0] * 3, 30.0),
@@ -685,6 +716,19 @@ def test_queue_matches_the_scan_in_synchronized_rounds(eight_robot_fleet, seed):
         sim.step()
     assert sum(k >= 2 for k in sizes) >= 500
     assert sum(k >= 3 for k in sizes) >= 200
+
+
+def test_deep_convergence_polls_stay_on_their_grid_across_a_change(eight_robot_fleet):
+    """A parameter change due inside the run is not one of the events
+    between two polls: every poll falls on a multiple of 4n events."""
+    sim = Simulation(eight_robot_fleet,
+                     *random_initial_state(eight_robot_fleet, random.Random(0)))
+    sim.schedule_parameter_change(20_000.0, robot_id=5, v=0.35)
+    polls, deviation = [], sim.max_deviation
+    sim.max_deviation = lambda: polls.append(len(sim.trace.events)) or deviation()
+    verify.run_to_deep_convergence(sim, rtol=1e-9)
+    assert sim.trace.parameter_changes and sim.trace.parameter_changes[0]["events"] < polls[-1]
+    assert [k for k in polls if k % 32] == []
 
 
 @pytest.mark.parametrize("rtol", [1e-9, 1e-11])
