@@ -274,6 +274,7 @@ class Simulation:
 
     ``fleet`` is the fleet in force, its parameters changed as the run
     changes them; ``trace.fleet`` stays the starting one.
+    ``pending_changes``: the changes still scheduled, earliest first; read only.
     ``y[j]`` is boundary j, between robots j and j+1, NaN while unknown;
     the seam y[n-1] = L is fixed.  Robot i is parked iff ``act[i] == 0``,
     and then waits at ``contact(y, i, o[i], r[i])``.
@@ -311,7 +312,7 @@ class Simulation:
         self.act = [1] * n
         self.seam_known_left = False   # robot 0 has recorded the seam
         self.seam_known_right = False  # robot n-1 has recorded the seam
-        self._pending_changes: list[dict] = []
+        self.pending_changes: list[dict] = []
         self._converged_at: float | None = None
         self._open = n - 1  # inner boundaries still unknown
         self._queue: list[tuple[float, int, int]] = []
@@ -625,7 +626,7 @@ class Simulation:
         and return None."""
         cand = self.next_candidate()
         t_next = None if cand is None else max(cand[0], self.t)
-        pending = self._pending_changes
+        pending = self.pending_changes
         change_due = bool(pending) and (cand is None or pending[0]["t"] <= t_next)
         if change_due:
             t_next = pending[0]["t"]
@@ -672,8 +673,8 @@ class Simulation:
         """Queue a speed/radius change for the robot with the given 1-based id."""
         if t < self.t:
             raise ValueError("cannot schedule a change in the past")
-        self._pending_changes.append({"t": t, "robot_id": robot_id, "v": v, "r": r})
-        self._pending_changes.sort(key=lambda ch: ch["t"])
+        self.pending_changes.append({"t": t, "robot_id": robot_id, "v": v, "r": r})
+        self.pending_changes.sort(key=lambda ch: ch["t"])
 
     def apply_parameter_change(self, robot_id: int, v: float | None = None,
                                r: float | None = None) -> None:

@@ -83,8 +83,6 @@ def mst_edges(tasks: TaskSet) -> list[tuple[int, int]]:
     (and hence the tour) is reproducible."""
     items = sorted(tasks.tasks, key=lambda t: t[0])
     m = len(items)
-    in_tree = [False] * m
-    in_tree[0] = True
     edges: list[tuple[int, int]] = []
     # best[j] = (dist, id_in_tree, id_j, i_tree, j)
     best = {}
@@ -94,7 +92,6 @@ def mst_edges(tasks: TaskSet) -> list[tuple[int, int]]:
         j_min = min(best, key=lambda j: best[j][:3])
         d, _, _, i_tree, j = best[j_min]
         edges.append((i_tree, j))
-        in_tree[j] = True
         del best[j_min]
         for k in best:
             cand = (_dist(items[j][1], items[k][1]), items[j][0], items[k][0], j, k)

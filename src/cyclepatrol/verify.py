@@ -64,17 +64,19 @@ MAX_EVENTS = 400_000  # run_to_deep_convergence's event budget
 
 
 def run_to_deep_convergence(sim: Simulation, rtol: float = 1e-11) -> float:
-    """Step until max|e - t_star|/t_star, polled every max(8, 4n) events
-    (parameter changes due on the way are not counted), drops below rtol,
+    """Step until no parameter change is pending and max|e - t_star|/t_star,
+    polled every max(8, 4n) events (changes are not counted), is below rtol,
     and return it; raise ``rounds.NotConvergedError`` after MAX_EVENTS
-    events.  These are the only two exits."""
+    events, naming a change still pending.  These are the only two exits."""
     chunk = max(8, 4 * sim.n)
     for _ in range(0, MAX_EVENTS, chunk):
         dev = sim.max_deviation()
-        if dev < rtol:
+        if dev < rtol and not sim.pending_changes:
             return dev
         sim.run_until(max_events=chunk)
-    raise rounds.NotConvergedError(f"no convergence to {rtol} within {MAX_EVENTS} events")
+    raise rounds.NotConvergedError(
+        f"the last parameter change lies beyond {MAX_EVENTS} events" if sim.pending_changes
+        else f"no convergence to {rtol} within {MAX_EVENTS} events")
 
 
 def converged_simulation(cfg: FleetConfig, seed: int, n_minus: int | None = None,

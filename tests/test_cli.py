@@ -126,6 +126,14 @@ class TestTour:
         assert "tour length L = inf: task x, y too far apart" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_task_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cut.json"
+        p.write_text('{"tasks": [')
+        out = tmp_path / "cg.json"
+        assert cli.main(["tour", str(p), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad task file: Expecting value")
+        assert not out.exists()
+
     def test_duplicate_task_id_names_the_entry(self, tmp_path, capsys):
         p = tmp_path / "dup.json"
         p.write_text(json.dumps({"tasks": [{"id": 1, "x": 0.0, "y": 0.0},
@@ -161,6 +169,14 @@ class TestSimulate:
                           timeout=30)
         assert proc.returncode == 2
         assert f"error: {flag} must be" in proc.stderr
+        assert not out.exists()
+
+    def test_truncated_fleet_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cut.json"
+        p.write_text(json.dumps(eight_robot_doc())[:40])
+        out = tmp_path / "run"
+        assert cli.main(["simulate", str(p), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad fleet file: Expecting value")
         assert not out.exists()
 
     def test_a2_violating_fleet_exits_2(self, tmp_path, capsys):
@@ -572,6 +588,9 @@ class TestSweep:
         (["--vary-n", "2..4", "--L", "-5"], "--L"),
         (["--factor", "1", "--v", "0"], "--v"),
         (["--factor", "1", "--r", "nan"], "--r"),
+        # parsed, but not finite factors > 0: no other "--factor must" applies
+        (["--factor", "0,1"], "--factor"),
+        (["--factor", "1,inf"], "--factor"),
     ])
     def test_bad_sweep_flag_exits_2(self, tmp_path, capsys, args, flag):
         out = tmp_path / "s.csv"

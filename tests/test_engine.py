@@ -748,23 +748,26 @@ def test_deep_convergence_stops_only_below_its_tolerance(rtol):
 
 def test_stale_queue_entries_are_compacted(eight_robot_fleet):
     """Re-queueing every key at its own time leaves the heap's live
-    entries as they were and buries them under stale ones; the next event
-    compacts the heap and the run goes on as its untouched twin's."""
+    entries as they were and buries them under stale ones, past four per
+    key, so that the peeks on the way, which pop only the root's stale
+    copies, leave more than twice the key count.  The first pair event
+    re-queues around its boundary and compacts the heap to its live
+    entries; the run goes on as its untouched twin's."""
     start = random_initial_state(eight_robot_fleet, random.Random(4))
     sim, twin = (Simulation(eight_robot_fleet, *start) for _ in range(2))
     sim.run_until(max_events=200)
     twin.run_until(max_events=200)
     keys = len(sim._version)
-    while len(sim._queue) <= 2 * keys:
+    while len(sim._queue) <= 4 * keys:
         for key, t in live_entries(sim).items():
             sim._queue_key(key, t)
     assert live_entries(sim) == live_entries(twin)
+    while twin.step().kind == "arrival":  # a parking arrival re-queues no pair
+        sim.step()
     sim.step()
-    twin.step()
-    assert len(sim._queue) <= 2 * keys
+    assert len(sim._queue) == len(live_entries(sim))
     sim.run_until(max_events=499)
     twin.run_until(max_events=499)
-    assert len(sim.trace.events) == 700
     assert repr(sim.trace.events) == repr(twin.trace.events)  # repr: nan == nan
 
 

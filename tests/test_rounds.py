@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -105,6 +106,20 @@ class TestSynchronization:
         assert rep.first_violation[0] == 3  # the offending robot
 
 
+def cut_short(events, k, t_end):
+    return [ev for ev in events if ev.time < t_end]
+
+
+def drop_a_meeting(events, k, t_end):
+    return events[:k] + events[k + 1:]
+
+
+def move_a_meeting(events, k, t_end):
+    """Meeting k at the next boundary of the n=8 fleet."""
+    moved = events[k]._replace(boundary=(events[k].boundary + 1) % 8)
+    return events[:k] + [moved] + events[k + 1:]
+
+
 class TestLift:
     @pytest.fixture
     def converged_sim(self, eight_robot_fleet):
@@ -151,6 +166,27 @@ class TestLift:
         rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert rep.model_meetings == rep.engine_meetings == 400
+
+    @pytest.mark.parametrize("corrupt, detail", [
+        (cut_short, "trace ends before the comparison window"),
+        (drop_a_meeting, "meeting counts differ"),
+        (move_a_meeting, "pair mismatch at t="),
+    ])
+    def test_engine_equivalence_fails_on_a_corrupted_trace(self, converged_sim,
+                                                           corrupt, detail):
+        """A trace copy cut short, missing the window's first meeting or
+        with that meeting at the next boundary fails the comparison with
+        the report that names it."""
+        sim = converged_sim
+        st = lift_from_trace(sim.trace)
+        t_end = st.t0 + 100 * st.t_round
+        sim.run_until(t_end=t_end + 2 * st.t_round)
+        evs = sim.trace.events
+        k = next(k for k, ev in enumerate(evs) if ev.kind == "meeting" and ev.time > st.t0)
+        trace = dataclasses.replace(sim.trace, events=corrupt(evs, k, t_end))
+        rep = compare_with_engine(trace, st, n_rounds=100, tol=1e-6)
+        assert not rep.ok
+        assert rep.detail.startswith(detail)
 
 
 class TestLiftAcrossChanges:
