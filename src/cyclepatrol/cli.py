@@ -6,8 +6,9 @@ assumptions or premise), 3 property-suite failure, or a default
 ``simulate`` run that does not converge to the fleet its last scheduled
 change leaves within the event budget.
 
-``simulate``, ``tour``, ``sweep`` and the rounds and conservation suites
-never import numpy; the consensus and words oracles load it when called.
+``simulate``, ``tour``, ``sweep`` and the words, rounds and conservation
+suites never import numpy; the consensus oracle loads it for
+``consensus.check_spectrum`` alone.
 """
 
 from __future__ import annotations

@@ -89,11 +89,7 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
 
 def fixed_point(speeds, e0) -> float:
     """Weighted mean that every entry converges to: sum(v e0) / sum(v)."""
-    import numpy as np
-
-    v = np.asarray(speeds, dtype=float)
-    e = np.asarray(e0, dtype=float)
-    return float(v @ e / v.sum())
+    return sum(v * e for v, e in zip(speeds, e0)) / sum(speeds)
 
 
 def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,

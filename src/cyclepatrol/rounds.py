@@ -123,8 +123,8 @@ def lift_from_trace(trace: Trace, t0: float | None = None) -> RoundState:
     )
 
 
-def is_interlaced(state: RoundState) -> tuple[bool, list[int]]:
-    return words.is_interlaced(words.Word(tuple(state.ori)))
+def is_interlaced(state: RoundState) -> bool:
+    return words.is_interlaced(words.Word.from_letters(state.ori))
 
 
 def step_round(state: RoundState) -> tuple[RoundState, MeetingSet]:
@@ -134,7 +134,7 @@ def step_round(state: RoundState) -> tuple[RoundState, MeetingSet]:
     te = list(state.te)
     ori = list(state.ori)
     meetings = []
-    for j in words.meeting_pairs(words.Word(tuple(state.ori))):
+    for j in words.meeting_pairs(words.Word.from_letters(state.ori)):
         left, right = j, (j + 1) % n
         m = max(state.te[left], state.te[right])
         meetings.append((j, m))
@@ -174,7 +174,7 @@ def check_synchronization(states: list[RoundState], atol: float = 1e-9) -> SyncR
         n = s.n
         if min(s.ori.count(1), s.ori.count(-1)) * 2 != n:
             continue
-        if is_interlaced(s)[0]:
+        if is_interlaced(s):
             k0 = s.k
             break
     if k0 is None:

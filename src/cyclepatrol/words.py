@@ -5,20 +5,25 @@ the word flips every cyclically adjacent (+, -) pair (the meeting pairs,
 which are automatically disjoint).  Maximal even alternating runs
 "+-...+-" are *sequences*; between rounds each sequence follows one of
 the rules Move+ / Move- / Expand / Reduce (plus Merge and Disappear),
-determined by the letters around it.  A transition's rules and successors
-are a pure function of the word's letters, which is what lets
-`verify.words_exhaustive_suite` judge each word once.
+determined by the letters around it.
+
+A `Word` is its length n and the int bit mask ``plus`` of its '+'
+positions (bit i is letter i).  Stepping, the meeting pairs, the
+interlacing test and the decomposition are bit operations on that mask,
+so a step costs no work per letter; letters appear only where a word is
+built from them or printed.  A transition's rules and successors are a
+pure function of the mask, so `verify.words_exhaustive_suite` keys its
+per-length memo on it and judges each word once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 PLUS = 1
 MINUS = -1
 
-_CHARS = {PLUS: "+", MINUS: "-"}
 _VALUES = {"+": PLUS, "-": MINUS}
 
 
@@ -26,37 +31,73 @@ class CalculusViolation(AssertionError):
     """A word transition that the rewrite rules cannot explain."""
 
 
-@dataclass(frozen=True, slots=True)
 class Word:
-    """Letters plus their sizes n, n_plus, n_minus and n_bal, which are
-    plain attributes computed once here: a word is read about ten times
-    for each time one is built.  Equality and hashing use the letters
-    alone."""
+    """n letters held as the mask ``plus`` of the '+' positions: bit i is
+    set iff letter i is '+'.
 
-    letters: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
-    n_plus: int = field(init=False, repr=False, compare=False)
-    n_minus: int = field(init=False, repr=False, compare=False)
-    n_bal: int = field(init=False, repr=False, compare=False)
+    Building one checks n >= 2 and that ``plus`` has no bit at or above n,
+    nothing per letter.  A word is a value: equal words have equal n and
+    mask, and neither is reassigned after it is built.  A word steps only
+    to words of its own length, so among those the mask alone names it,
+    and it is the key of the exhaustive judge's per-length memo.
+    """
 
-    def __post_init__(self):
-        letters = self.letters
-        if len(letters) < 2:
+    __slots__ = ("n", "plus")
+
+    def __init__(self, n: int, plus: int):
+        if n < 2:
             raise ValueError("a word needs at least 2 letters")
+        if plus < 0 or plus >> n:
+            raise ValueError(f"mask {plus:#b} has bits outside the {n} letters")
+        self.n = n
+        self.plus = plus
+
+    @classmethod
+    def from_letters(cls, letters) -> "Word":
         if not all(map((PLUS, MINUS).__contains__, letters)):
             raise ValueError("letters must be +1 or -1")
-        n, n_plus = len(letters), letters.count(PLUS)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n_plus", n_plus)
-        object.__setattr__(self, "n_minus", n - n_plus)
-        object.__setattr__(self, "n_bal", min(n_plus, n - n_plus))
+        return cls(len(letters), sum(1 << i for i, x in enumerate(letters) if x == PLUS))
 
     @classmethod
     def from_string(cls, s: str) -> "Word":
-        return cls(tuple(_VALUES[c] for c in s))
+        return cls.from_letters([_VALUES[c] for c in s])
+
+    @property
+    def n_plus(self) -> int:
+        return self.plus.bit_count()
+
+    @property
+    def n_minus(self) -> int:
+        return self.n - self.plus.bit_count()
+
+    @property
+    def n_bal(self) -> int:
+        n_plus = self.plus.bit_count()
+        return min(n_plus, self.n - n_plus)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self.n == other.n and self.plus == other.plus
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.plus))
+
+    def __repr__(self) -> str:
+        return f"Word.from_string({str(self)!r})"
 
     def __str__(self) -> str:
-        return "".join(_CHARS[x] for x in self.letters)
+        return "".join("+" if self.plus >> i & 1 else "-" for i in range(self.n))
+
+
+def _rotl(mask: int, k: int, n: int) -> int:
+    """An n-bit mask rotated by 0 <= k <= n: bit i moves to bit (i + k) % n."""
+    return (mask << k | mask >> (n - k)) & ((1 << n) - 1)
+
+
+def _pairs(w: Word) -> int:
+    """The mask of positions i with (w[i], w[i+1]) = (+, -), cyclically:
+    the '+' bits whose right neighbour's bit is a '-'."""
+    n, plus = w.n, w.plus
+    return plus & _rotl(plus ^ ((1 << n) - 1), n - 1, n)
 
 
 def meeting_pairs(w: Word) -> list[int]:
@@ -65,32 +106,27 @@ def meeting_pairs(w: Word) -> list[int]:
     Such pairs are pairwise disjoint: a position cannot be the '-' of one
     pair and the '+' of another.
     """
-    n = w.n
-    return [i for i in range(n) if w.letters[i] == PLUS and w.letters[(i + 1) % n] == MINUS]
+    return _positions(_pairs(w), w.n)
 
 
 def step_word(w: Word) -> Word:
     """One round: every meeting pair (+,-) flips to (-,+)."""
-    if w.n_bal == 0:
+    pairs = _pairs(w)
+    if not pairs:
         raise ValueError("A2 violated: word has a single orientation, no meetings possible")
-    out = list(w.letters)
-    n = w.n
-    for i in meeting_pairs(w):
-        out[i] = MINUS
-        out[(i + 1) % n] = PLUS
-    return Word(tuple(out))
+    return Word(w.n, w.plus ^ pairs | _rotl(pairs, 1, w.n))
 
 
-def is_interlaced(w: Word) -> tuple[bool, list[int]]:
+def is_interlaced(w: Word) -> bool:
     """Interlaced iff the meeting pairs already number n_bal.
 
-    Returns the witness pair-start positions.  Uniform words are rejected:
-    n_bal = 0 cannot arise under the protocol's assumptions.
+    Uniform words are rejected: n_bal = 0 cannot arise under the
+    protocol's assumptions.
     """
-    if w.n_bal == 0:
+    pairs = _pairs(w)
+    if not pairs:
         raise ValueError("A2 violated: uniform orientations have n_bal = 0")
-    pairs = meeting_pairs(w)
-    return len(pairs) == w.n_bal, pairs
+    return pairs.bit_count() == w.n_bal
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,43 +142,36 @@ def _scan_origin(w: Word) -> int:
     # Start scanning just after an equal adjacent pair, which no alternating
     # run can cross; a fully alternating word has none, so start at its
     # first '+'.
-    n = w.n
-    for s in range(n):
-        if w.letters[(s - 1) % n] == w.letters[s]:
-            return s
-    for s in range(n):
-        if w.letters[s] == PLUS:
-            return s
-    raise AssertionError("unreachable: word has no '+' and no equal pair")
+    n, plus = w.n, w.plus
+    equal = ((1 << n) - 1) ^ plus ^ _rotl(plus, 1, n)  # bit s: letters s - 1 and s are equal
+    first = equal or plus
+    return (first & -first).bit_length() - 1
 
 
 def decompose(w: Word) -> SequenceDecomposition:
     n = w.n
     origin = _scan_origin(w)
+    # bit k of r is the letter at origin + k; bit k of alt says that
+    # letters k and k + 1 of the window differ
+    r = _rotl(w.plus, n - origin, n)
+    alt = (r ^ r >> 1) & ((1 << (n - 1)) - 1)
     seqs: list[tuple[int, int]] = []
     letters: list[int] = []
     k = 0
     while k < n:
         pos = (origin + k) % n
-        if w.letters[pos] != PLUS:
-            letters.append(pos)
-            k += 1
-            continue
-        # maximal alternating run starting with '+', capped at the window
-        run = 1
-        while k + run < n:
-            want = PLUS if run % 2 == 0 else MINUS
-            if w.letters[(origin + k + run) % n] != want:
-                break
-            run += 1
-        # odd runs drop their trailing '+', which is re-examined as a letter
-        length = run - (run % 2)
-        if length >= 2:
-            seqs.append((pos, length))
-            k += length
-        else:
-            letters.append(pos)
-            k += 1
+        if r >> k & 1:
+            # maximal alternating run starting with '+', capped at the
+            # window: one letter plus the trailing ones of alt >> k; an odd
+            # run drops its trailing '+', which is re-examined as a letter
+            ones = alt >> k
+            length = (ones ^ (ones + 1)).bit_length() & ~1
+            if length >= 2:
+                seqs.append((pos, length))
+                k += length
+                continue
+        letters.append(pos)
+        k += 1
     return SequenceDecomposition(n=n, sequences=tuple(seqs), letters=tuple(letters))
 
 
@@ -163,8 +192,7 @@ class Rule(str, Enum):
 
 def _span_mask(start: int, length: int, n: int) -> int:
     """The positions start, ..., start + length - 1 (mod n) as bits of an int."""
-    run = (1 << length) - 1
-    return (run << start | run >> (n - start)) & ((1 << n) - 1)
+    return _rotl((1 << length) - 1, start, n)
 
 
 def _positions(mask: int, n: int) -> list[int]:
@@ -177,15 +205,15 @@ def _base_rule(w: Word, start: int, length: int) -> tuple[Rule, tuple[int, int] 
     if length == n:
         # the whole word is one interlaced cycle; it rotates left each round
         return Rule.MOVE_PLUS, ((start - 1) % n, n)
-    left = w.letters[(start - 1) % n]
-    right = w.letters[(start + length) % n]
-    if left == PLUS and right == PLUS:
+    left_plus = w.plus >> ((start - 1) % n) & 1
+    right_plus = w.plus >> ((start + length) % n) & 1
+    if left_plus and right_plus:
         return Rule.MOVE_PLUS, ((start - 1) % n, length)
-    if left == MINUS and right == MINUS:
+    if not (left_plus or right_plus):
         return Rule.MOVE_MINUS, ((start + 1) % n, length)
-    if left == PLUS and right == MINUS:
+    if left_plus:
         return Rule.EXPAND, ((start - 1) % n, length + 2)
-    # left == MINUS, right == PLUS
+    # a '-' on the left, a '+' on the right
     if length == 2:
         return Rule.DISAPPEAR, None
     return Rule.REDUCE, ((start + 1) % n, length - 2)
@@ -325,7 +353,7 @@ def evolve_until_interlaced(w: Word):
     """
     ev = TrackedEvolution(w)
     history = [ev.lengths]
-    while not is_interlaced(ev.word)[0]:
+    while not is_interlaced(ev.word):
         if ev.round >= w.n:
             raise CalculusViolation(f"word {w} not interlaced after {ev.round} rounds")
         ev.step()

@@ -147,12 +147,12 @@ def test_criterion_4_interlacing_bound():
     checked = 0
     for n in range(2, 13):
         for bits in itertools.product((1, -1), repeat=n):
-            w = words.Word(bits)
+            w = words.Word.from_letters(bits)
             if w.n_bal == 0:
                 continue
             wk = w
             taken = 0
-            while not words.is_interlaced(wk)[0]:
+            while not words.is_interlaced(wk):
                 wk = words.step_word(wk)
                 taken += 1
                 assert taken <= n, f"{w} failed to interlace"

@@ -682,6 +682,7 @@ runs = {
     "sweep": ["sweep", "--vary-n", "2..3", "-o", tmp + "/sweep.csv"],
     "rounds": ["verify", "--suite", "rounds", "--instances", "1"],
     "conservation": ["verify", "--suite", "conservation", "--conservation-events", "200"],
+    "words": ["verify", "--suite", "words", "--samples", "50"],
     "consensus": ["verify", "--suite", "consensus", "--fleets", "2"],
 }
 for name, argv in runs.items():
@@ -693,7 +694,7 @@ print(json.dumps(out))
 def test_cold_start_loads_numpy_only_for_the_oracles_that_use_it(square_tasks,
                                                                   fig3_fleet_file, tmp_path):
     # numpy is most of the CLI's import time; simulate, tour, sweep and the
-    # rounds and conservation suites never call it.  The modules the CLI
+    # words, rounds and conservation suites never call it.  The modules the CLI
     # imports stay loaded: the benchmark's layer tracer finds them there.
     assert square_tasks.parent == fig3_fleet_file.parent == tmp_path
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -705,4 +706,4 @@ def test_cold_start_loads_numpy_only_for_the_oracles_that_use_it(square_tasks,
     assert got.pop("import") == [False, True]
     assert got.pop("consensus") == [0, True]
     assert got == {name: [0, False] for name in
-                   ("simulate", "tour", "sweep", "rounds", "conservation")}
+                   ("simulate", "tour", "sweep", "rounds", "conservation", "words")}

@@ -50,12 +50,12 @@ class TestStepRound:
 
     def test_balanced_interlaced_shifts_left(self):
         st = synthetic_state([1, -1, 1, -1], [0.1, 0.2, 0.3, 0.4])
-        ok, witness = is_interlaced(st)
-        assert ok and witness == [0, 2]
+        assert is_interlaced(st)
         nxt, ms = step_round(st)
         assert [j for j, _ in ms.meetings] == [0, 2]
-        ok2, witness2 = is_interlaced(nxt)
-        assert ok2 and witness2 == [1, 3]  # indexes shifted by one
+        assert is_interlaced(nxt)
+        _, ms2 = step_round(nxt)
+        assert [j for j, _ in ms2.meetings] == [1, 3]  # indexes shifted by one
 
     def test_positions_swap_to_opposite_contacts(self):
         st = synthetic_state([1, -1], [0.0, 0.0], y=(4.0, 10.0), radii=(1.0, 2.0))
@@ -66,8 +66,8 @@ class TestStepRound:
 class TestInterlaced:
     def test_not_interlaced_pair_word(self):
         st = synthetic_state([1, 1, -1, -1], [0.0] * 4)
-        ok, witness = is_interlaced(st)
-        assert not ok and witness == [1]
+        assert not is_interlaced(st)
+        assert [j for j, _ in step_round(st)[1].meetings] == [1]
 
     def test_uniform_rejected(self):
         st = synthetic_state([1, 1, 1, 1], [0.0] * 4)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -45,7 +46,7 @@ class TestStep:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from((1, -1)), min_size=2, max_size=16))
     def test_step_preserves_counts_and_pairs_are_disjoint(self, bits):
-        w = Word(tuple(bits))
+        w = Word.from_letters(bits)
         if w.n_bal == 0:
             return
         pairs = meeting_pairs(w)
@@ -94,25 +95,25 @@ class TestDecompose:
     def test_sequences_have_even_length_and_start_plus(self):
         for n in range(2, 11):
             for bits in itertools.product((1, -1), repeat=n):
-                w = Word(bits)
+                w = Word.from_letters(bits)
                 d = decompose(w)
                 for start, length in d.sequences:
                     assert length % 2 == 0 and length >= 2
                     for k in range(length):
                         want = 1 if k % 2 == 0 else -1
-                        assert w.letters[(start + k) % n] == want
+                        assert bits[(start + k) % n] == want
                 covered = [(s + k) % n for s, l in d.sequences for k in range(l)]
                 assert sorted(covered + list(d.letters)) == list(range(n))
 
 
 class TestInterlaced:
     def test_balanced_interlaced(self):
-        ok, witness = is_interlaced(W("+-+-"))
-        assert ok and witness == [0, 2]
+        assert is_interlaced(W("+-+-"))
+        assert meeting_pairs(W("+-+-")) == [0, 2]
 
     def test_not_interlaced(self):
-        ok, witness = is_interlaced(W("++--"))
-        assert not ok and witness == [1]
+        assert not is_interlaced(W("++--"))
+        assert meeting_pairs(W("++--")) == [1]
 
     def test_uniform_rejected(self):
         with pytest.raises(ValueError, match="A2"):
@@ -123,7 +124,7 @@ class TestInterlaced:
             for pos in range(n):
                 bits = [1] * n
                 bits[pos] = -1
-                assert is_interlaced(Word(tuple(bits)))[0]
+                assert is_interlaced(Word.from_letters(bits))
 
 
 class TestClassify:
@@ -186,12 +187,12 @@ class TestEvolve:
     def test_exhaustive_interlace_bound(self):
         for n in range(2, 13):
             for bits in itertools.product((1, -1), repeat=n):
-                w = Word(bits)
+                w = Word.from_letters(bits)
                 if w.n_bal == 0:
                     continue
                 wk = w
                 rounds = 0
-                while not is_interlaced(wk)[0]:
+                while not is_interlaced(wk):
                     wk = step_word(wk)
                     rounds += 1
                     assert rounds <= n, f"{w} not interlacing"
@@ -204,7 +205,7 @@ class TestEvolve:
     def test_sequence_count_never_grows(self):
         for n in range(2, 12):
             for bits in itertools.product((1, -1), repeat=n):
-                w = Word(bits)
+                w = Word.from_letters(bits)
                 if w.n_bal == 0:
                     continue
                 prev = len(decompose(w).sequences)
@@ -218,7 +219,7 @@ class TestEvolve:
 def _nonuniform_words(max_n):
     for n in range(2, max_n + 1):
         for bits in itertools.product((1, -1), repeat=n):
-            w = Word(bits)
+            w = Word.from_letters(bits)
             if w.n_bal > 0:
                 yield w
 
@@ -229,7 +230,7 @@ class TestTrackedEvolution:
         # public path that decomposes both words from scratch
         for w in _nonuniform_words(9):
             ev = TrackedEvolution(w)
-            while not is_interlaced(ev.word)[0]:
+            while not is_interlaced(ev.word):
                 spans = dict(ev.ids)
                 expected = {(l.start, l.length): l.rule
                             for l in classify_transition(ev.word, step_word(ev.word))}
@@ -246,7 +247,7 @@ class TestExhaustiveSuite:
         # the probe of a final word steps it and the next min(n, 6) - 1 words
         for w in _nonuniform_words(max_n):
             x = w
-            while not is_interlaced(x)[0]:
+            while not is_interlaced(x):
                 x = step_word(x)
             for _ in range(min(w.n, 6)):
                 if x == target:
@@ -298,10 +299,54 @@ def test_rule_formats_as_its_value():
 
 def test_word_sizes_and_letter_check():
     w = Word.from_string("++-+-")
-    assert (w.n, w.n_plus, w.n_minus, w.n_bal) == (5, 3, 2, 2)
+    assert (w.n, w.plus, w.n_plus, w.n_minus, w.n_bal) == (5, 0b01011, 3, 2, 2)
     for bad in [(1, 0), (1, 2), (1, float("nan")), (1, "+")]:
         with pytest.raises(ValueError, match="letters must be"):
-            Word(bad)
+            Word.from_letters(bad)
+    for short in [(), (1,)]:
+        with pytest.raises(ValueError, match="at least 2 letters"):
+            Word.from_letters(short)
+    with pytest.raises(ValueError, match="at least 2 letters"):
+        Word(1, 0)
+    for n, plus in [(3, 1 << 3), (5, 1 << 5 | 1), (64, 1 << 64), (4, -1)]:
+        with pytest.raises(ValueError, match="bits outside"):
+            Word(n, plus)
+
+
+def _letterwise_round(letters):
+    """The step rule stated letter by letter: every cyclic (+, -) pair
+    flips to (-, +).  Returns the pairs' first positions and the next
+    letters."""
+    n = len(letters)
+    pairs = [i for i in range(n) if (letters[i], letters[(i + 1) % n]) == (1, -1)]
+    out = list(letters)
+    for i in pairs:
+        out[i], out[(i + 1) % n] = -1, 1
+    return pairs, tuple(out)
+
+
+def test_mask_rule_matches_the_letterwise_rule():
+    # 63, 64 and 65 letters put the seam pair on either side of bit 63
+    rng = random.Random(5)
+    for n in range(2, 71):
+        for _ in range(20):
+            minus = set(rng.sample(range(n), rng.randint(0, n)))
+            letters = tuple(-1 if i in minus else 1 for i in range(n))
+            w = Word.from_letters(letters)
+            for _ in range(5):
+                pairs, after = _letterwise_round(letters)
+                assert meeting_pairs(w) == pairs
+                if not pairs:  # a uniform word
+                    with pytest.raises(ValueError, match="A2"):
+                        step_word(w)
+                    with pytest.raises(ValueError, match="A2"):
+                        is_interlaced(w)
+                    break
+                n_bal = min(letters.count(1), letters.count(-1))
+                assert is_interlaced(w) == (len(pairs) == n_bal)
+                letters, w = after, step_word(w)
+                assert w == Word.from_letters(letters)
+                assert str(w) == "".join("+" if x == 1 else "-" for x in letters)
 
 
 def _facts(monkeypatch, change):
@@ -396,7 +441,7 @@ class TestEachRoundCheckFires:
 def _reported_interlaced(monkeypatch, word, interlaced):
     original = words.is_interlaced
     monkeypatch.setattr(words, "is_interlaced",
-                        lambda w: (interlaced, []) if w == word else original(w))
+                        lambda w: interlaced if w == word else original(w))
 
 
 class TestEachWalkCheckFires:
@@ -406,8 +451,8 @@ class TestEachWalkCheckFires:
     def test_cycling_step_never_interlaces(self, monkeypatch):
         # a step that rotates every word not yet interlaced
         original = words.step_word
-        monkeypatch.setattr(words, "step_word", lambda w: original(w) if is_interlaced(w)[0]
-                            else Word(w.letters[1:] + w.letters[:1]))
+        monkeypatch.setattr(words, "step_word", lambda w: original(w) if is_interlaced(w)
+                            else Word(w.n, w.plus >> 1 | (w.plus & 1) << (w.n - 1)))
         assert _exhaustive_detail() == "++-- did not interlace within 4 rounds"
 
     def test_a_round_late_breaks_the_bound(self, monkeypatch):
