@@ -16,7 +16,6 @@ from .fleet import (
     StaticallyCoverableError,
     compute_goal_partition,
     compute_t_star,
-    traversing_time,
 )
 from .scenario import (
     CycleGraph,
@@ -25,7 +24,7 @@ from .scenario import (
     build_tour_nn,
     map_1d_to_2d,
 )
-from .words import Word, decompose, evolve_until_interlaced, is_interlaced, step_word
+from .words import Word, decompose, is_interlaced, step_word
 
 __all__ = [
     "AssumptionError",
@@ -45,12 +44,10 @@ __all__ = [
     "compute_goal_partition",
     "compute_t_star",
     "decompose",
-    "evolve_until_interlaced",
     "is_interlaced",
     "map_1d_to_2d",
     "random_initial_state",
     "step_word",
-    "traversing_time",
 ]
 
 __version__ = "0.1.0"

@@ -119,15 +119,6 @@ def compute_goal_partition(cfg: FleetConfig) -> GoalPartition:
     return GoalPartition(t_star=t_star, d_star=d_star, y_star=tuple(y_star))
 
 
-def traversing_time(d: float, robot: RobotParams) -> float:
-    """Time to cross a region of length d between contact configurations.
-
-    Total function: negative when d < 2r (region narrower than the
-    communication zone), which transient simulator states can produce.
-    """
-    return (d - 2.0 * robot.r) / robot.v
-
-
 @dataclass
 class FleetScenario:
     """A fleet plus the optional initial state / scheduled changes from JSON."""

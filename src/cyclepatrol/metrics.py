@@ -8,6 +8,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .engine import Trace, deviation, write_rows
+from .words import Word
 
 PASS_REL_TOL = 0.01  # absorbs the asymptotic-convergence residual
 
@@ -39,8 +40,7 @@ def windowed_revisit(series: list[float], n_bal: int) -> list[float]:
 
 
 def n_bal_of(trace: Trace) -> int:
-    plus = sum(1 for o in trace.initial_orientations if o > 0)
-    return min(plus, trace.n - plus)
+    return Word.from_letters(trace.initial_orientations).n_bal
 
 
 @dataclass

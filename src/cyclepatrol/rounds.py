@@ -1,11 +1,12 @@
 """Discrete synchronous round model layered on a converged simulation.
 
 Once the fleet has converged to a common traversing time, the protocol
-advances in rounds of that duration: in each round the cyclically
-adjacent (+, -) pairs meet, the meeting time is the later of the two
-boundary arrivals, and the pair re-arrives at the opposite boundaries one
-traversing time later.  Lifting a converged trace into this model and
-stepping it must reproduce the engine's meetings.
+advances in rounds of that duration.  A state's orientations are a
+`words.Word`, and a round is `words.step_word` plus the meeting times: the
+cyclically adjacent (+, -) pairs meet at the later of their two boundary
+arrivals and re-arrive at the opposite boundaries one traversing time
+later.  Lifting a converged trace into this model and stepping it must
+reproduce the engine's meetings.
 """
 
 from __future__ import annotations
@@ -28,25 +29,13 @@ class RoundState:
     t0: float
     t_round: float  # realized common traversing time used as round width
     te: tuple[float, ...]  # latest boundary-arrival time per robot
-    ori: tuple[int, ...]
+    word: words.Word  # the robots' orientations
     y: tuple[float, ...]  # boundary values frozen at t0 (y[n-1] = L)
     radii: tuple[float, ...]
 
     @property
     def n(self) -> int:
         return len(self.te)
-
-    @property
-    def pos(self) -> tuple[float, ...]:
-        """Each robot's position at its latest boundary arrival, derived
-        from y, radii and ori: the contact it faces."""
-        return tuple(contact(self.y, i, o, r)
-                     for i, (o, r) in enumerate(zip(self.ori, self.radii)))
-
-
-@dataclass(frozen=True)
-class MeetingSet:
-    meetings: tuple[tuple[int, float], ...]  # (boundary index, meeting time)
 
 
 def _state_at(trace: Trace, t0: float):
@@ -118,33 +107,32 @@ def lift_from_trace(trace: Trace, t0: float | None = None) -> RoundState:
     te = tuple(t0 if a == 0 else t0 + (contact(y_vals, i, o, radii[i]) - p) * o / speeds[i]
                for i, (_, p, o, a) in enumerate(kin))
     return RoundState(
-        k=0, t0=t0, t_round=t_round, te=te, ori=tuple(o for _, _, o, _ in kin),
+        k=0, t0=t0, t_round=t_round, te=te,
+        word=words.Word.from_letters([o for _, _, o, _ in kin]),
         y=tuple(y_vals), radii=tuple(radii),
     )
 
 
-def is_interlaced(state: RoundState) -> bool:
-    return words.is_interlaced(words.Word.from_letters(state.ori))
+Meetings = tuple[tuple[int, float], ...]  # (boundary index, meeting time), ascending
 
 
-def step_round(state: RoundState) -> tuple[RoundState, MeetingSet]:
-    """One round: adjacent (+,-) pairs meet and swap to opposite contacts
-    (``pos`` follows ``ori``)."""
+def step_round(state: RoundState) -> tuple[RoundState, Meetings]:
+    """One round: the word steps by `words.step_word`, and each meeting
+    pair (j, j+1) meets at the later of its two arrivals and re-arrives one
+    round width later."""
     n = state.n
     te = list(state.te)
-    ori = list(state.ori)
     meetings = []
-    for j in words.meeting_pairs(words.Word.from_letters(state.ori)):
-        left, right = j, (j + 1) % n
-        m = max(state.te[left], state.te[right])
+    for j in words.meeting_pairs(state.word):
+        right = (j + 1) % n
+        m = max(state.te[j], state.te[right])
         meetings.append((j, m))
-        te[left] = te[right] = m + state.t_round
-        ori[left], ori[right] = -1, 1
-    nxt = replace(state, k=state.k + 1, te=tuple(te), ori=tuple(ori))
-    return nxt, MeetingSet(meetings=tuple(sorted(meetings)))
+        te[j] = te[right] = m + state.t_round
+    nxt = replace(state, k=state.k + 1, te=tuple(te), word=words.step_word(state.word))
+    return nxt, tuple(meetings)
 
 
-def run_rounds(state: RoundState, count: int) -> tuple[list[RoundState], list[MeetingSet]]:
+def run_rounds(state: RoundState, count: int) -> tuple[list[RoundState], list[Meetings]]:
     states = [state]
     meetings = []
     for _ in range(count):
@@ -159,7 +147,6 @@ class SyncReport:
     ok: bool
     k0: int | None
     sync_round: int | None
-    target: float | None
     first_violation: tuple[int, int, float] | None  # (robot, round, |error|)
 
     def __bool__(self) -> bool:
@@ -168,19 +155,15 @@ class SyncReport:
 
 def check_synchronization(states: list[RoundState], atol: float = 1e-9) -> SyncReport:
     """Balanced interlaced fleets synchronize all event times within n/2
-    rounds of reaching the interlaced configuration."""
-    k0 = None
-    for s in states:
-        n = s.n
-        if min(s.ori.count(1), s.ori.count(-1)) * 2 != n:
-            continue
-        if is_interlaced(s):
-            k0 = s.k
-            break
-    if k0 is None:
-        return SyncReport(ok=False, k0=None, sync_round=None, target=None,
-                          first_violation=None)
-    base = next(s for s in states if s.k == k0)
+    rounds of reaching the interlaced configuration.  A step keeps the
+    word's count of '+', so the first state's word decides balance."""
+    first = states[0].word
+    base = None
+    if first.n == 2 * first.n_bal:
+        base = next((s for s in states if words.is_interlaced(s.word)), None)
+    if base is None:
+        return SyncReport(ok=False, k0=None, sync_round=None, first_violation=None)
+    k0 = base.k
     m0 = max(base.te)
     sync_round = k0 + base.n // 2
     for s in states:
@@ -190,16 +173,13 @@ def check_synchronization(states: list[RoundState], atol: float = 1e-9) -> SyncR
         for i, t in enumerate(s.te):
             if abs(t - expect) > atol:
                 return SyncReport(ok=False, k0=k0, sync_round=sync_round,
-                                  target=expect, first_violation=(i, s.k, abs(t - expect)))
-    return SyncReport(ok=True, k0=k0, sync_round=sync_round,
-                      target=(states[-1].k - k0) * base.t_round + m0,
-                      first_violation=None)
+                                  first_violation=(i, s.k, abs(t - expect)))
+    return SyncReport(ok=True, k0=k0, sync_round=sync_round, first_violation=None)
 
 
 @dataclass
 class EquivalenceReport:
     ok: bool
-    rounds: int
     model_meetings: int
     engine_meetings: int
     max_time_err: float
@@ -207,7 +187,7 @@ class EquivalenceReport:
     detail: str = ""
     # the round model as stepped: n_rounds + 1 states and n_rounds meeting sets
     states: list[RoundState] = field(default_factory=list, repr=False)
-    meeting_sets: list[MeetingSet] = field(default_factory=list, repr=False)
+    meeting_sets: list[Meetings] = field(default_factory=list, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -223,7 +203,7 @@ def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
     t_end = state.t0 + n_rounds * state.t_round
     model = []  # (time, boundary, left contact, right contact)
     for ms in sets:
-        for j, m in ms.meetings:
+        for j, m in ms:
             left, right = j, (j + 1) % state.n
             model.append((m, j, contact(state.y, left, 1, state.radii[left]),
                           contact(state.y, right, -1, state.radii[right])))
@@ -233,7 +213,7 @@ def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
             engine.append((ev.time, ev.boundary, ev.states[0][1], ev.states[1][1]))
 
     def report(ok, max_dt=0.0, max_dp=0.0, detail=""):
-        return EquivalenceReport(ok, n_rounds, len(model), len(engine), max_dt, max_dp,
+        return EquivalenceReport(ok, len(model), len(engine), max_dt, max_dp,
                                  detail, states, sets)
 
     if trace.events and trace.events[-1].time < t_end:

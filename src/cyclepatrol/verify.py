@@ -411,12 +411,12 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
             continue
         # interlaced regime: exactly n_bal meetings per round, and per full
         # n-round window each boundary hosts exactly n_bal of them
-        n_bal = min(state.ori.count(1), state.ori.count(-1))
+        n_bal = state.word.n_bal
         full_windows = n_rounds // n
         states = rep.states[:full_windows * n + 1]
         sets = rep.meeting_sets[:full_windows * n]
-        per_boundary = Counter(j for ms in sets for j, _t in ms.meetings)
-        if any(len(ms.meetings) != n_bal for ms in sets):
+        per_boundary = Counter(j for ms in sets for j, _t in ms)
+        if any(len(ms) != n_bal for ms in sets):
             bad_counts += 1
         if any(per_boundary[j] != full_windows * n_bal for j in range(n)):
             bad_counts += 1

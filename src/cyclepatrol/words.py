@@ -298,11 +298,9 @@ class TrackedEvolution:
     """Step a word while tracking sequence identities across rounds.
 
     Merged groups keep the lowest member id.  Only the last step is kept:
-    ``lengths`` maps each id to its length after it (0 for an id that
-    disappeared or merged away; the start lengths before any step),
-    and ``rules`` maps each id before it to the rule it ran.  Each round
-    steps and decomposes the word once: the current word's decomposition
-    carries over from the round that produced it.
+    ``rules`` maps each id before it to the rule it ran.  Each round steps
+    and decomposes the word once: the current word's decomposition carries
+    over from the round that produced it.
     """
 
     def __init__(self, w: Word):
@@ -311,7 +309,6 @@ class TrackedEvolution:
         self.decomposition = decompose(w)
         # ids are listed in the order of self.decomposition.sequences
         self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.decomposition.sequences))
-        self.lengths: dict[int, int] = {k: span[1] for k, span in self.ids.items()}
         self.rules: dict[int, Rule] = {}
 
     def step(self) -> Word:
@@ -321,41 +318,12 @@ class TrackedEvolution:
             self.word, w2, self.decomposition.sequences, dec2.sequences)
         sids = list(self.ids)
 
-        new_ids: dict[int, tuple[int, int]] = {}
-        lengths: dict[int, int] = {}
-        for span, preds in zip(dec2.sequences, preds_by_target):
-            members = [sids[k] for k in preds]
-            survivor = min(members)
-            new_ids[survivor] = span
-            lengths[survivor] = span[1]
-            for k in members:
-                if k != survivor:
-                    lengths[k] = 0
-        for sid, lab in zip(sids, labels):
-            if lab.successor is None:
-                lengths[sid] = 0
-
         self.word = w2
         self.decomposition = dec2
         self.round += 1
-        self.ids = new_ids
-        self.lengths = lengths
+        # each target span keeps the lowest id among its predecessors
+        self.ids = {min(sids[k] for k in preds): span
+                    for span, preds in zip(dec2.sequences, preds_by_target)}
         self.rules = {sid: lab.rule for sid, lab in zip(sids, labels)}
         return w2
 
-
-def evolve_until_interlaced(w: Word):
-    """Iterate rounds until the word is interlaced.
-
-    Returns (rounds_taken, history) where history[k] maps sequence id to
-    its length at round k (0 on the round it disappears).  Raises
-    CalculusViolation if interlacing takes n rounds or more.
-    """
-    ev = TrackedEvolution(w)
-    history = [ev.lengths]
-    while not is_interlaced(ev.word):
-        if ev.round >= w.n:
-            raise CalculusViolation(f"word {w} not interlaced after {ev.round} rounds")
-        ev.step()
-        history.append(ev.lengths)
-    return ev.round, history

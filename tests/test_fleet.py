@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from cyclepatrol.engine import traversing
 from cyclepatrol.fleet import (
     FleetConfig,
     RobotParams,
@@ -12,7 +13,6 @@ from cyclepatrol.fleet import (
     compute_goal_partition,
     compute_t_star,
     fleet_from_dict,
-    traversing_time,
 )
 
 from conftest import make_fleet
@@ -98,15 +98,13 @@ class TestGoalPartition:
 
 class TestTraversingTime:
     def test_benchmark_region(self):
-        assert traversing_time(275.0, RobotParams(id=2, v=0.7, r=50.0)) == pytest.approx(
-            250.0, rel=1e-12
-        )
+        assert traversing([275.0], [50.0], [0.7], 0) == pytest.approx(250.0, rel=1e-12)
 
     def test_zone_exactly_fills_region(self):
-        assert traversing_time(10.0, RobotParams(id=1, v=2.0, r=5.0)) == 0.0
+        assert traversing([10.0], [5.0], [2.0], 0) == 0.0
 
     def test_degenerate_region_is_negative_not_an_error(self):
-        assert traversing_time(0.0, RobotParams(id=1, v=1.0, r=1.0)) == -2.0
+        assert traversing([0.0], [1.0], [1.0], 0) == -2.0
 
 
 class TestValidation:

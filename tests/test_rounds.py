@@ -3,20 +3,19 @@ import random
 
 import pytest
 
-from cyclepatrol import rounds
+from cyclepatrol import rounds, words
 from cyclepatrol.engine import Simulation, random_initial_state
 from cyclepatrol.rounds import (
-    MeetingSet,
     NotConvergedError,
     RoundState,
     check_synchronization,
     compare_with_engine,
-    is_interlaced,
     lift_from_trace,
     run_rounds,
     step_round,
 )
 from cyclepatrol.verify import run_to_deep_convergence
+from cyclepatrol.words import Word
 
 from conftest import make_fleet
 
@@ -26,53 +25,48 @@ def synthetic_state(ori, te, t_round=1.0, y=None, radii=None, t0=0.0):
     y = y or tuple(float(k + 1) for k in range(n))
     radii = radii or tuple(0.0 for _ in range(n))
     return RoundState(k=0, t0=t0, t_round=t_round, te=tuple(te),
-                      ori=tuple(ori), y=tuple(y), radii=tuple(radii))
+                      word=Word.from_letters(ori), y=tuple(y), radii=tuple(radii))
 
 
 class TestStepRound:
     def test_two_robot_alternation(self):
         st = synthetic_state([1, -1], [0.1, 0.2])
         nxt, ms = step_round(st)
-        assert [j for j, _ in ms.meetings] == [0]
-        assert nxt.ori == (-1, 1)
+        assert [j for j, _ in ms] == [0]
+        assert str(nxt.word) == "-+"
         assert nxt.te == (1.2, 1.2)
         nxt2, ms2 = step_round(nxt)
-        assert [j for j, _ in ms2.meetings] == [1]  # the seam pair
-        assert nxt2.ori == (1, -1)
+        assert [j for j, _ in ms2] == [1]  # the seam pair
+        assert str(nxt2.word) == "+-"
 
     def test_single_inner_pair(self):
         st = synthetic_state([1, 1, -1, -1], [0.1, 0.2, 0.3, 0.4])
         nxt, ms = step_round(st)
-        assert [j for j, _ in ms.meetings] == [1]
-        assert ms.meetings[0][1] == 0.3  # max of the pair's arrivals
-        assert nxt.ori == (1, -1, 1, -1)
+        assert [j for j, _ in ms] == [1]
+        assert ms[0][1] == 0.3  # max of the pair's arrivals
+        assert str(nxt.word) == "+-+-"
         assert nxt.te == (0.1, 1.3, 1.3, 0.4)
 
     def test_balanced_interlaced_shifts_left(self):
         st = synthetic_state([1, -1, 1, -1], [0.1, 0.2, 0.3, 0.4])
-        assert is_interlaced(st)
+        assert words.is_interlaced(st.word)
         nxt, ms = step_round(st)
-        assert [j for j, _ in ms.meetings] == [0, 2]
-        assert is_interlaced(nxt)
+        assert [j for j, _ in ms] == [0, 2]
+        assert words.is_interlaced(nxt.word)
         _, ms2 = step_round(nxt)
-        assert [j for j, _ in ms2.meetings] == [1, 3]  # indexes shifted by one
-
-    def test_positions_swap_to_opposite_contacts(self):
-        st = synthetic_state([1, -1], [0.0, 0.0], y=(4.0, 10.0), radii=(1.0, 2.0))
-        nxt, _ = step_round(st)
-        assert nxt.pos == (0.0 + 1.0, 10.0 - 2.0)
+        assert [j for j, _ in ms2] == [1, 3]  # indexes shifted by one
 
 
 class TestInterlaced:
     def test_not_interlaced_pair_word(self):
         st = synthetic_state([1, 1, -1, -1], [0.0] * 4)
-        assert not is_interlaced(st)
-        assert [j for j, _ in step_round(st)[1].meetings] == [1]
+        assert not words.is_interlaced(st.word)
+        assert [j for j, _ in step_round(st)[1]] == [1]
 
     def test_uniform_rejected(self):
         st = synthetic_state([1, 1, 1, 1], [0.0] * 4)
         with pytest.raises(ValueError, match="A2"):
-            is_interlaced(st)
+            words.is_interlaced(st.word)
 
 
 class TestSynchronization:
@@ -98,12 +92,26 @@ class TestSynchronization:
         states, _ = run_rounds(st, 4)
         broken = states[:3] + [
             RoundState(k=3, t0=0.0, t_round=1.0,
-                       te=(3.5, 3.5, 3.5, 9.9), ori=states[3].ori,
+                       te=(3.5, 3.5, 3.5, 9.9), word=states[3].word,
                        y=states[3].y, radii=states[3].radii)
         ]
         rep = check_synchronization(broken)
         assert not rep.ok
         assert rep.first_violation[0] == 3  # the offending robot
+
+    @pytest.mark.parametrize("word, te, k0, sync_round", [
+        ("++--", (0.2, 0.5, 0.1, 0.4), 1, 3),
+        ("+++---", (0.3, 0.1, 0.6, 0.2, 0.5, 0.4), 2, 5),
+        ("++-", (0.2, 0.5, 0.1), None, None),
+    ])
+    def test_k0_is_the_first_interlaced_round(self, word, te, k0, sync_round):
+        """A balanced word not yet interlaced synchronizes n/2 rounds after
+        the first interlaced round k0; an unbalanced word is not ok."""
+        st = synthetic_state([1 if c == "+" else -1 for c in word], te)
+        states, _ = run_rounds(st, 8)
+        rep = check_synchronization(states)
+        assert rep.ok == (k0 is not None)
+        assert (rep.k0, rep.sync_round) == (k0, sync_round)
 
 
 def cut_short(events, k, t_end):
@@ -143,12 +151,9 @@ class TestLift:
         n = sim.n
         assert st.k == 0
         assert st.t_round == pytest.approx(sim.t_star, rel=1e-6)
+        assert st.word.n == n
         for i in range(n):
             assert st.t0 <= st.te[i] < st.t0 + st.t_round * (1 + 1e-9)
-            left = 0.0 if i == 0 else st.y[i - 1]
-            right = st.y[i]
-            contact = {left + st.radii[i], right - st.radii[i]}
-            assert any(abs(st.pos[i] - c) < 1e-6 for c in contact)
 
     def test_waiting_robot_te_is_t0(self, converged_sim):
         sim = converged_sim

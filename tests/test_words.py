@@ -14,7 +14,6 @@ from cyclepatrol.words import (
     Word,
     classify_transition,
     decompose,
-    evolve_until_interlaced,
     is_interlaced,
     meeting_pairs,
     step_word,
@@ -174,16 +173,6 @@ class TestClassify:
 
 
 class TestEvolve:
-    def test_already_interlaced(self):
-        rounds, history = evolve_until_interlaced(W("+-"))
-        assert rounds == 0
-        assert history == [{0: 2}]
-
-    def test_one_round(self):
-        rounds, history = evolve_until_interlaced(W("++--"))
-        assert rounds == 1
-        assert history[-1] == {0: 4}
-
     def test_exhaustive_interlace_bound(self):
         for n in range(2, 13):
             for bits in itertools.product((1, -1), repeat=n):
@@ -197,10 +186,6 @@ class TestEvolve:
                     rounds += 1
                     assert rounds <= n, f"{w} not interlacing"
                 assert rounds < max(w.n_bal, 1), f"{w} took {rounds} rounds"
-
-    def test_length_history(self):
-        # one sequence of length 2 grows to 4 in the one round to interlacing
-        assert evolve_until_interlaced(W("++--")) == (1, [{0: 2}, {0: 4}])
 
     def test_sequence_count_never_grows(self):
         for n in range(2, 12):
