@@ -179,17 +179,21 @@ def cmd_sweep(args) -> int:
         if not all(x.is_integer() and x >= 2 for x in values):
             return _bad_flag(flag, f"must list integer fleet sizes >= 2, got {spec!r}")
         values = [int(n) for n in values]
-        sweep, build, label = verify.sweep_fleet_size, verify.size_fleet, "vary_n"
+        build, label = verify.size_fleet, "vary_n"
+        seeds = [args.seed + n for n in values]
     else:
         if not all(0.0 < f < math.inf for f in values):
             return _bad_flag(flag, f"must list finite factors > 0, got {spec!r}")
-        sweep, build, label = verify.sweep_capability_factor, verify.factor_fleet, "factor"
+        build, label = verify.factor_fleet, "factor"
+        seeds = [args.seed + k for k in range(len(values))]
+    fleets = []
     for x in values:  # every point's fleet, before any point is measured
         try:
-            build(x, args.v, args.r, args.L)
+            fleets.append(build(x, args.v, args.r, args.L))
         except ValueError as exc:
             return _bad_flag(flag, f"value {x}: {exc}")
-    rows = sweep(values, v=args.v, r=args.r, L=args.L, seed=args.seed, measure=measure)
+    rows = [verify.sweep_point(cfg, label=float(x), seed=s, measure=measure)
+            for x, cfg, s in zip(values, fleets, seeds)]
     try:
         write_rows(args.output, f"{label},n,t_star,t_rev_predicted,t_rev_measured,rel_err\n",
                    (f"{row['label']:.9f},{row['n']},{row['t_star']:.9f},"

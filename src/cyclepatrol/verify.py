@@ -206,15 +206,14 @@ def _judge_round(w: words.Word, t: int, x: words.Word, spans, x2: words.Word, en
     n = x.n
     if len(spans2) > len(spans):
         raise words.CalculusViolation(f"{w}: sequence count grew")
-    labels, preds_by_target = words._label_transition(x, x2, spans, spans2)
+    rules, preds_by_target = words._label_transition(x, x2, spans, spans2)
     succ = [None] * len(spans)
     for j, preds in enumerate(preds_by_target):
         for k in preds:
             succ[k] = j
     doomed_rule, forbidden, _ = _roles(x)
     facts = []
-    for span, label, j in zip(spans, labels, succ):
-        rule = label.rule
+    for span, rule, j in zip(spans, rules, succ):
         if j is None:  # it disappears
             facts.append((rule, 1, rule if rule in forbidden else None))
             continue
@@ -242,7 +241,7 @@ def _judge_round(w: words.Word, t: int, x: words.Word, spans, x2: words.Word, en
     return tuple(facts)
 
 
-def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
+def _word_checks(w: words.Word, memo: dict, probes: dict) -> int:
     """Judge start word w against every lemma of the word calculus and
     return its rounds to interlacing.
 
@@ -266,16 +265,16 @@ def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
     checks it breaks.
 
     The n_bal bound and the balanced endgame are checked per start word.
-    The absorbing-regime probe runs per unbalanced final word not yet in
-    ``probed``, and reads each interlaced word's step once from ``probes``;
-    both are keyed by the '+' mask too.
+    The absorbing-regime probe walks from each unbalanced final word and
+    reads each interlaced word's step once from ``probes``, which is keyed
+    by the '+' mask too; a repeat walk steps no word.
     """
     n = w.n
     path = []  # the walked words, w first
     x2 = w
     while (entry := memo.get(x2.plus)) is None:
         if words.is_interlaced(x2):
-            entry = memo[x2.plus] = (0, x2, words.decompose(x2).sequences, None)
+            entry = memo[x2.plus] = (0, x2, words.decompose(x2), None)
             break
         if len(path) == n:
             raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
@@ -285,7 +284,7 @@ def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
         raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
     for t in range(len(path) - 1, -1, -1):
         x = path[t]
-        spans = words.decompose(x).sequences
+        spans = words.decompose(x)
         facts = _judge_round(w, t, x, spans, x2, entry)
         entry = memo[x.plus] = (entry[0] + 1, entry[1], spans, facts)
         x2 = x
@@ -300,7 +299,7 @@ def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
         final_spans = memo[final.plus][2]
         if len(final_spans) != 1 or final_spans[0][1] != n:
             raise words.CalculusViolation(f"{w}: balanced endgame not a single cycle")
-    elif final.plus not in probed:
+    else:
         # unbalanced absorbing behavior: every sequence slides through the
         # majority letters forever (Move+ for a '+' majority, mirrored else)
         absorbing = _roles(w)[2]
@@ -314,15 +313,14 @@ def _word_checks(w: words.Word, memo: dict, probes: dict, probed: set) -> int:
             x, absorbed = step
             if not absorbed:
                 raise words.CalculusViolation(f"{w}: interlaced word not in {absorbing} regime")
-        probed.add(final.plus)
     return rounds
 
 
 def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
     """Run `_word_checks` on every word of 2..max_n letters with n_bal > 0.
 
-    A word steps only to words of its own length, so the memo, the probe
-    steps and the probed final words live for one length.
+    A word steps only to words of its own length, so the memo and the
+    probe steps live for one length.
     """
     res = SuiteResult("words-exhaustive")
     count = max_rounds = 0
@@ -330,13 +328,12 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
     for n in range(2, max_n + 1):
         memo: dict = {}
         probes: dict = {}
-        probed: set[int] = set()
         for bits in itertools.product((1, -1), repeat=n):
             w = words.Word.from_letters(bits)
             if w.n_bal == 0:
                 continue
             try:
-                max_rounds = max(max_rounds, _word_checks(w, memo, probes, probed))
+                max_rounds = max(max_rounds, _word_checks(w, memo, probes))
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break
@@ -416,10 +413,8 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         states = rep.states[:full_windows * n + 1]
         sets = rep.meeting_sets[:full_windows * n]
         per_boundary = Counter(j for ms in sets for j, _t in ms)
-        if any(len(ms) != n_bal for ms in sets):
-            bad_counts += 1
-        if any(per_boundary[j] != full_windows * n_bal for j in range(n)):
-            bad_counts += 1
+        bad_counts += (any(len(ms) != n_bal for ms in sets)
+                       or any(per_boundary[j] != full_windows * n_bal for j in range(n)))
         if 2 * n_bal == n:
             balanced += 1
             sync = rounds.check_synchronization(states)
@@ -495,36 +490,22 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
 
 # -- sweeps -------------------------------------------------------------------
 
-def sweep_fleet_size(n_values, v: float = 2.0, r: float = 50.0,
-                     L: float = 10_000.0, seed: int = 5,
-                     measure: bool = True) -> list[dict]:
-    fleets = [size_fleet(n, v, r, L) for n in n_values]  # all checked before any is measured
-    return [_sweep_point(cfg, label=float(cfg.n), seed=seed + cfg.n, measure=measure)
-            for cfg in fleets]
-
-
-def sweep_capability_factor(factors, v: float = 2.0, r: float = 50.0,
-                            L: float = 10_000.0, seed: int = 5,
-                            measure: bool = True) -> list[dict]:
-    """One sweep point per factor, on ``factor_fleet``."""
-    points = [(f, factor_fleet(f, v, r, L)) for f in factors]  # all checked before any is measured
-    return [_sweep_point(cfg, label=float(f), seed=seed + k, measure=measure)
-            for k, (f, cfg) in enumerate(points)]
-
-
 def size_fleet(n: int, v: float, r: float, L: float) -> FleetConfig:
-    """n identical robots: the fleet of one ``sweep_fleet_size`` point."""
+    """n identical robots: the fleet of one ``sweep --vary-n`` point."""
     return FleetConfig(robots=tuple(RobotParams(id=i + 1, v=v, r=r) for i in range(n)), L=L)
 
 
 def factor_fleet(f: float, v: float, r: float, L: float) -> FleetConfig:
-    """Six robots, the first two with speed and radius scaled by f."""
+    """Six robots, the first two with speed and radius scaled by f: the
+    fleet of one ``sweep --factor`` point."""
     scale = [f, f, 1.0, 1.0, 1.0, 1.0]
     return FleetConfig(robots=tuple(RobotParams(id=i + 1, v=v * s, r=r * s)
                                     for i, s in enumerate(scale)), L=L)
 
 
-def _sweep_point(cfg: FleetConfig, label: float, seed: int, measure: bool) -> dict:
+def sweep_point(cfg: FleetConfig, label: float, seed: int, measure: bool) -> dict:
+    """The closed-form revisit time of one sweep point and, if ``measure``,
+    the one measured on a converged run from ``seed``."""
     t_star = compute_t_star(cfg)
     n = cfg.n
     n_bal = n // 2

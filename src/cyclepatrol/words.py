@@ -11,14 +11,16 @@ A `Word` is its length n and the int bit mask ``plus`` of its '+'
 positions (bit i is letter i).  Stepping, the meeting pairs, the
 interlacing test and the decomposition are bit operations on that mask,
 so a step costs no work per letter; letters appear only where a word is
-built from them or printed.  A transition's rules and successors are a
-pure function of the mask, so `verify.words_exhaustive_suite` keys its
-per-length memo on it and judges each word once.
+built from them or printed.  A word's decomposition is the tuple of the
+(start, length) spans of its sequences, and a labelled round is the list
+of its sequences' rules, in span order.  A transition's rules and
+successors are a pure function of the mask, so
+`verify.words_exhaustive_suite` keys its per-length memo on it and judges
+each word once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 PLUS = 1
@@ -129,15 +131,6 @@ def is_interlaced(w: Word) -> bool:
     return pairs.bit_count() == w.n_bal
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceDecomposition:
-    """Maximal even alternating runs (start, length) plus leftover letters."""
-
-    n: int
-    sequences: tuple[tuple[int, int], ...]
-    letters: tuple[int, ...]
-
-
 def _scan_origin(w: Word) -> int:
     # Start scanning just after an equal adjacent pair, which no alternating
     # run can cross; a fully alternating word has none, so start at its
@@ -148,7 +141,9 @@ def _scan_origin(w: Word) -> int:
     return (first & -first).bit_length() - 1
 
 
-def decompose(w: Word) -> SequenceDecomposition:
+def decompose(w: Word) -> tuple[tuple[int, int], ...]:
+    """The (start, length) spans of w's maximal even alternating runs, in
+    scan order; the positions outside them are w's leftover letters."""
     n = w.n
     origin = _scan_origin(w)
     # bit k of r is the letter at origin + k; bit k of alt says that
@@ -156,10 +151,8 @@ def decompose(w: Word) -> SequenceDecomposition:
     r = _rotl(w.plus, n - origin, n)
     alt = (r ^ r >> 1) & ((1 << (n - 1)) - 1)
     seqs: list[tuple[int, int]] = []
-    letters: list[int] = []
     k = 0
     while k < n:
-        pos = (origin + k) % n
         if r >> k & 1:
             # maximal alternating run starting with '+', capped at the
             # window: one letter plus the trailing ones of alt >> k; an odd
@@ -167,12 +160,11 @@ def decompose(w: Word) -> SequenceDecomposition:
             ones = alt >> k
             length = (ones ^ (ones + 1)).bit_length() & ~1
             if length >= 2:
-                seqs.append((pos, length))
+                seqs.append(((origin + k) % n, length))
                 k += length
                 continue
-        letters.append(pos)
         k += 1
-    return SequenceDecomposition(n=n, sequences=tuple(seqs), letters=tuple(letters))
+    return tuple(seqs)
 
 
 class Rule(str, Enum):
@@ -219,16 +211,9 @@ def _base_rule(w: Word, start: int, length: int) -> tuple[Rule, tuple[int, int] 
     return Rule.REDUCE, ((start + 1) % n, length - 2)
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
-    start: int
-    length: int
-    rule: Rule  # MERGE overrides the base rule when spans coalesce
-    successor: tuple[int, int] | None
-
-
-def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
-    """Label every sequence of w with the rule explaining w -> w_next.
+def classify_transition(w: Word, w_next: Word) -> list[Rule]:
+    """The rule explaining w -> w_next of every sequence of w, in the order
+    of ``decompose(w)``.
 
     Raises CalculusViolation if the labeled successors (after merging
     abutting spans) do not reproduce the canonical decomposition of
@@ -236,16 +221,16 @@ def classify_transition(w: Word, w_next: Word) -> list[TransitionLabel]:
     """
     if step_word(w) != w_next:
         raise ValueError("w_next is not step_word(w)")
-    return _label_transition(w, w_next, decompose(w).sequences,
-                             decompose(w_next).sequences)[0]
+    return _label_transition(w, w_next, decompose(w), decompose(w_next))[0]
 
 
 def _label_transition(
     w: Word, w_next: Word, spans: tuple[tuple[int, int], ...],
     next_spans: tuple[tuple[int, int], ...],
-) -> tuple[list[TransitionLabel], list[list[int]]]:
-    """`classify_transition` on given sequence spans of w and w_next (the
-    ``sequences`` of their decompositions).
+) -> tuple[list[Rule], list[list[int]]]:
+    """`classify_transition` on given sequence spans of w and w_next (their
+    decompositions); ``rules[k]`` is the rule of ``spans[k]``, MERGE
+    overriding the base rule when spans coalesce.
 
     Also returns, for each sequence of w_next in order, the indices of the
     sequences of w whose successors tile it.  Spans are compared as int
@@ -288,10 +273,8 @@ def _label_transition(
                 f"of sequence {base[k][0]} vanished"
             )
 
-    labels = [TransitionLabel(start=start, length=length,
-                              rule=Rule.MERGE if merged[k] else rule, successor=succ)
-              for k, ((start, length), rule, succ) in enumerate(base)]
-    return labels, preds_by_target
+    rules = [Rule.MERGE if merged[k] else rule for k, (_, rule, _) in enumerate(base)]
+    return rules, preds_by_target
 
 
 class TrackedEvolution:
@@ -299,31 +282,30 @@ class TrackedEvolution:
 
     Merged groups keep the lowest member id.  Only the last step is kept:
     ``rules`` maps each id before it to the rule it ran.  Each round steps
-    and decomposes the word once: the current word's decomposition carries
-    over from the round that produced it.
+    and decomposes the word once: the current word's spans carry over from
+    the round that produced it.
     """
 
     def __init__(self, w: Word):
         self.word = w
         self.round = 0
-        self.decomposition = decompose(w)
-        # ids are listed in the order of self.decomposition.sequences
-        self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.decomposition.sequences))
+        self.spans = decompose(w)
+        # ids are listed in the order of self.spans
+        self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.spans))
         self.rules: dict[int, Rule] = {}
 
     def step(self) -> Word:
         w2 = step_word(self.word)
-        dec2 = decompose(w2)
-        labels, preds_by_target = _label_transition(
-            self.word, w2, self.decomposition.sequences, dec2.sequences)
+        spans2 = decompose(w2)
+        rules, preds_by_target = _label_transition(self.word, w2, self.spans, spans2)
         sids = list(self.ids)
 
         self.word = w2
-        self.decomposition = dec2
+        self.spans = spans2
         self.round += 1
         # each target span keeps the lowest id among its predecessors
         self.ids = {min(sids[k] for k in preds): span
-                    for span, preds in zip(dec2.sequences, preds_by_target)}
-        self.rules = {sid: lab.rule for sid, lab in zip(sids, labels)}
+                    for span, preds in zip(spans2, preds_by_target)}
+        self.rules = dict(zip(sids, rules))
         return w2
 

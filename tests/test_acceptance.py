@@ -203,12 +203,16 @@ def test_criterion_8_conservation_suite():
 
 
 def test_criterion_9_trend_reproduction():
-    rows_n = verify.sweep_fleet_size(range(2, 21), seed=5, measure=True)
+    # the points of `cyclepatrol sweep` at --v 2 --r 50 --L 10000 --seed 5
+    v, r, L, seed = 2.0, 50.0, 10_000.0, 5
+    rows_n = [verify.sweep_point(verify.size_fleet(n, v, r, L), label=float(n),
+                                 seed=seed + n, measure=True) for n in range(2, 21)]
     t_rev_n = [r["t_rev_measured"] for r in rows_n]
     assert all(b < a for a, b in zip(t_rev_n, t_rev_n[1:])), t_rev_n
     assert all(r["rel_err"] < 0.01 for r in rows_n)
     factors = [0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 15.0]
-    rows_f = verify.sweep_capability_factor(factors, seed=5, measure=True)
+    rows_f = [verify.sweep_point(verify.factor_fleet(f, v, r, L), label=f,
+                                 seed=seed + k, measure=True) for k, f in enumerate(factors)]
     t_rev_f = [r["t_rev_measured"] for r in rows_f]
     assert all(b < a for a, b in zip(t_rev_f, t_rev_f[1:])), t_rev_f
     assert all(r["rel_err"] < 0.01 for r in rows_f)

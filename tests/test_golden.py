@@ -137,3 +137,19 @@ def test_two_changes_judged_against_final_t_star(tmp_path, capsys):
     assert cli.main(["simulate", str(fleet), *flags, "-o", str(out)]) == 0
     assert f"t_star = {sim.trace.t_star:.9f} s" in capsys.readouterr().out
     assert json.loads((out / "report.json").read_text())["all_pass"]
+
+
+SWEEP_GOLDEN = {
+    "--factor 0.5..2": "415180fbfaa07f3c532aee0c4f14cdd414f2d9d452a21f856e200039b58a5278",
+    "--vary-n 2..6": "5ef2a8156134acde31c69eb0b9e6987a23f437703372b7875135a56f94199bc3",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SWEEP_GOLDEN))
+def test_measured_sweep_matches_golden_digest(flags, tmp_path, capsys):
+    """A measured ``cyclepatrol sweep`` at the defaults (--v 2 --r 50
+    --L 10000 --seed 5): the digest pins each point's fleet, its seed and
+    the measured revisit time."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *flags.split(), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GOLDEN[flags]

@@ -1,9 +1,11 @@
 """The conservation suite fails, naming the broken invariant, on a run
 whose every step breaks one fact the protocol preserves."""
 
+import dataclasses
+
 import pytest
 
-from cyclepatrol import verify
+from cyclepatrol import rounds, verify
 from cyclepatrol.engine import Simulation
 
 
@@ -52,3 +54,20 @@ def test_conservation_suite_reports_a_broken_invariant(monkeypatch, corrupt, mes
     monkeypatch.setattr(Simulation, "step", lambda sim: corrupt(sim, step(sim)))
     res = verify.conservation_suite(total_events=2000)
     assert res.checks == [("invariants_hold", False, f"run 1: {message}")]
+
+
+def test_rounds_suite_counts_an_instance_off_once(monkeypatch):
+    """An instance that breaks both the per-round and the per-boundary
+    meeting count is one instance off, not two."""
+    step_round = rounds.step_round
+
+    def spurious_meeting(state):
+        nxt, meetings = step_round(state)
+        return nxt, (*meetings, (0, state.t0))
+
+    compare = rounds.compare_with_engine
+    monkeypatch.setattr(rounds, "step_round", spurious_meeting)
+    monkeypatch.setattr(rounds, "compare_with_engine",
+                        lambda *a, **kw: dataclasses.replace(compare(*a, **kw), ok=True))
+    res = verify.rounds_suite(instances=1)
+    assert "[FAIL] rounds: interlaced_meeting_counts (1 instances off)" in res.summary_lines()

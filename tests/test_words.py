@@ -55,54 +55,56 @@ class TestStep:
         assert w2.n_plus == w.n_plus
 
 
+def _covered(spans, n):
+    return [(s + k) % n for s, l in spans for k in range(l)]
+
+
+def _letters(w):
+    """The leftover letters of w: the positions outside its spans."""
+    return set(range(w.n)) - set(_covered(decompose(w), w.n))
+
+
 class TestDecompose:
     def test_fully_interlaced(self):
-        d = decompose(W("+-+-"))
-        assert d.sequences == ((0, 4),)
-        assert d.letters == ()
+        assert decompose(W("+-+-")) == ((0, 4),)
+        assert _letters(W("+-+-")) == set()
 
     def test_single_inner_pair(self):
-        d = decompose(W("++--"))
-        assert d.sequences == ((1, 2),)
-        assert set(d.letters) == {0, 3}
+        assert decompose(W("++--")) == ((1, 2),)
+        assert _letters(W("++--")) == {0, 3}
 
     def test_seam_wrapping_sequence(self):
-        d = decompose(W("--++"))
-        assert d.sequences == ((3, 2),)
-        assert set(d.letters) == {1, 2}
+        assert decompose(W("--++")) == ((3, 2),)
+        assert _letters(W("--++")) == {1, 2}
 
     def test_run_through_the_index_seam(self):
         # the natural maximal run covers positions 4,0,1,2
-        d = decompose(W("-+-++"))
-        assert d.sequences == ((4, 4),)
-        assert d.letters == (3,)
+        assert decompose(W("-+-++")) == ((4, 4),)
+        assert _letters(W("-+-++")) == {3}
 
     def test_all_letters(self):
-        d = decompose(W("-+"))
-        assert d.sequences == ((1, 2),)
+        assert decompose(W("-+")) == ((1, 2),)
 
     def test_sorted_word_has_one_pair(self):
-        d = decompose(W("--++-"))
-        assert d.sequences == ((3, 2),)
-        assert set(d.letters) == {0, 1, 2}
+        assert decompose(W("--++-")) == ((3, 2),)
+        assert _letters(W("--++-")) == {0, 1, 2}
 
     def test_odd_truncation(self):
-        d = decompose(W("+-+++"))
-        assert d.sequences == ((0, 2),)
-        assert set(d.letters) == {2, 3, 4}
+        assert decompose(W("+-+++")) == ((0, 2),)
+        assert _letters(W("+-+++")) == {2, 3, 4}
 
     def test_sequences_have_even_length_and_start_plus(self):
         for n in range(2, 11):
             for bits in itertools.product((1, -1), repeat=n):
-                w = Word.from_letters(bits)
-                d = decompose(w)
-                for start, length in d.sequences:
+                spans = decompose(Word.from_letters(bits))
+                for start, length in spans:
                     assert length % 2 == 0 and length >= 2
                     for k in range(length):
                         want = 1 if k % 2 == 0 else -1
                         assert bits[(start + k) % n] == want
-                covered = [(s + k) % n for s, l in d.sequences for k in range(l)]
-                assert sorted(covered + list(d.letters)) == list(range(n))
+                # the spans are disjoint: each position is covered at most once
+                covered = _covered(spans, n)
+                assert len(set(covered)) == len(covered)
 
 
 class TestInterlaced:
@@ -126,46 +128,47 @@ class TestInterlaced:
                 assert is_interlaced(Word.from_letters(bits))
 
 
+def _rules(w):
+    """Each span of w with the rule it runs, in span order."""
+    return list(zip(decompose(w), classify_transition(w, step_word(w))))
+
+
+def _successors(w):
+    """Each span of w that survives the round, mapped to the span of
+    ``decompose(step_word(w))`` it lands on."""
+    w2 = step_word(w)
+    spans, spans2 = decompose(w), decompose(w2)
+    _, preds_by_target = words._label_transition(w, w2, spans, spans2)
+    return {spans[k]: span2 for span2, preds in zip(spans2, preds_by_target) for k in preds}
+
+
 class TestClassify:
     def test_expand(self):
-        labels = classify_transition(W("++--"), step_word(W("++--")))
-        assert [(l.start, l.length, l.rule) for l in labels] == [(1, 2, Rule.EXPAND)]
+        assert _rules(W("++--")) == [((1, 2), Rule.EXPAND)]
 
     def test_move_plus(self):
-        labels = classify_transition(W("++-+"), step_word(W("++-+")))
-        assert labels[0].rule == Rule.MOVE_PLUS
-        assert labels[0].successor == (0, 2)
+        assert _rules(W("++-+")) == [((1, 2), Rule.MOVE_PLUS)]
+        assert _successors(W("++-+")) == {(1, 2): (0, 2)}
 
     def test_move_minus(self):
-        labels = classify_transition(W("-+--"), step_word(W("-+--")))
-        assert labels[0].rule == Rule.MOVE_MINUS
+        assert _rules(W("-+--")) == [((1, 2), Rule.MOVE_MINUS)]
 
     def test_reduce_and_disappear(self):
-        w = W("--+-++")
-        labels = {(l.start, l.length): l.rule for l in classify_transition(w, step_word(w))}
-        assert labels[(2, 2)] == Rule.DISAPPEAR
-        assert labels[(5, 2)] == Rule.EXPAND
+        rules = dict(_rules(W("--+-++")))
+        assert rules[(2, 2)] == Rule.DISAPPEAR
+        assert rules[(5, 2)] == Rule.EXPAND
 
     def test_reduce_long_sequence(self):
         w = W("--+-+-++")  # run (2,4) sits between a '-' and a '+': Reduce
-        assert decompose(w).sequences == ((2, 4), (7, 2))
-        labels = classify_transition(w, step_word(w))
-        by_span = {(l.start, l.length): l for l in labels}
-        assert by_span[(2, 4)].rule == Rule.REDUCE
-        assert by_span[(2, 4)].successor == (3, 2)
-        assert by_span[(7, 2)].rule == Rule.EXPAND
-        assert by_span[(7, 2)].successor == (6, 4)
+        assert _rules(w) == [((2, 4), Rule.REDUCE), ((7, 2), Rule.EXPAND)]
+        assert _successors(w) == {(2, 4): (3, 2), (7, 2): (6, 4)}
 
     def test_merge_label(self):
-        w = W("++-++--")
-        labels = classify_transition(w, step_word(w))
-        assert sorted(l.rule for l in labels) == [Rule.MERGE, Rule.MERGE]
+        rules = [rule for _, rule in _rules(W("++-++--"))]
+        assert rules == [Rule.MERGE, Rule.MERGE]
 
     def test_full_cycle_rotates(self):
-        w = W("+-+-")
-        labels = classify_transition(w, step_word(w))
-        assert labels[0].rule == Rule.MOVE_PLUS
-        assert labels[0].length == 4
+        assert _rules(W("+-+-")) == [((0, 4), Rule.MOVE_PLUS)]
 
     def test_wrong_successor_rejected(self):
         with pytest.raises(ValueError):
@@ -193,10 +196,10 @@ class TestEvolve:
                 w = Word.from_letters(bits)
                 if w.n_bal == 0:
                     continue
-                prev = len(decompose(w).sequences)
+                prev = len(decompose(w))
                 for _ in range(n):
                     w = step_word(w)
-                    cur = len(decompose(w).sequences)
+                    cur = len(decompose(w))
                     assert cur <= prev
                     prev = cur
 
@@ -211,18 +214,17 @@ def _nonuniform_words(max_n):
 
 class TestTrackedEvolution:
     def test_rules_match_public_classify(self):
-        # the carried decomposition must label every round exactly as the
-        # public path that decomposes both words from scratch
+        # the carried spans must label every round exactly as the public
+        # path that decomposes both words from scratch
         for w in _nonuniform_words(9):
             ev = TrackedEvolution(w)
             while not is_interlaced(ev.word):
                 spans = dict(ev.ids)
-                expected = {(l.start, l.length): l.rule
-                            for l in classify_transition(ev.word, step_word(ev.word))}
+                expected = dict(_rules(ev.word))
                 ev.step()
                 got = {spans[sid]: rule for sid, rule in ev.rules.items()}
                 assert got == expected, f"{w} round {ev.round}"
-                assert ev.decomposition == decompose(ev.word)
+                assert ev.spans == decompose(ev.word)
 
 
 class TestExhaustiveSuite:
@@ -362,10 +364,10 @@ def _successors_swapped(monkeypatch):
     original = words._label_transition
 
     def label(*args):
-        labels, preds = original(*args)
+        rules, preds = original(*args)
         if len(preds) >= 2 and len(preds[0]) == len(preds[1]) == 1:
             preds = [preds[1], preds[0], *preds[2:]]
-        return labels, preds
+        return rules, preds
 
     monkeypatch.setattr(words, "_label_transition", label)
 
@@ -375,10 +377,8 @@ def _extra_id(monkeypatch):
     original = words.decompose
 
     def decompose(w):
-        dec = original(w)
-        if str(w) == "++-+--":
-            return words.SequenceDecomposition(dec.n, dec.sequences * 2, dec.letters)
-        return dec
+        spans = original(w)
+        return spans * 2 if str(w) == "++-+--" else spans
 
     monkeypatch.setattr(words, "decompose", decompose)
 
@@ -452,6 +452,6 @@ class TestEachWalkCheckFires:
     def test_doomed_sequence_must_not_survive(self, monkeypatch):
         # the first round of 8 letters that runs Move- ('+' majority)
         w = W("+++--+--")
-        assert Rule.MOVE_MINUS in [l.rule for l in classify_transition(w, step_word(w))]
+        assert Rule.MOVE_MINUS in classify_transition(w, step_word(w))
         _reported_interlaced(monkeypatch, step_word(w), True)
         assert re.fullmatch(r"\+\+\+--\+--: Move- sequence \d+ survived", _exhaustive_detail())
