@@ -5,10 +5,6 @@ Exit codes: 0 success, 1 usage error, 2 validation error (violated
 assumptions or premise), 3 property-suite failure, or a default
 ``simulate`` run that does not converge to the fleet its last scheduled
 change leaves within the event budget.
-
-``simulate``, ``tour``, ``sweep`` and the words, rounds and conservation
-suites never import numpy; the consensus oracle loads it for
-``consensus.check_spectrum`` alone.
 """
 
 from __future__ import annotations
@@ -85,6 +81,8 @@ def cmd_simulate(args) -> int:
         return _bad_flag("--n-minus", f"must be between 1 and {cfg.n - 1} for a fleet of "
                                       f"{cfg.n} robots, got {args.n_minus}")
     if spec.positions is not None and not args.random_start:
+        if args.n_minus is not None:
+            return _bad_flag("--n-minus", "needs --random-start, as the fleet file gives p0/o0")
         positions, orientations = spec.positions, spec.orientations
     else:
         rng = random.Random(args.seed)

@@ -5,12 +5,18 @@ speed-weighted mean: e <- P_i e with P_i = I - diag(1/v) eps_i L_i, L_i the
 link's Laplacian and eps_i = v_i v_{i+1} / (v_i + v_{i+1}).  Because
 eps_i (1/v_i + 1/v_{i+1}) = 1, each P_i is a projection with spectrum
 {0, 1^(n-1)}: ``average_link`` applies it as a two-entry update, and no
-n x n matrix per link is stored.  ``check_spectrum`` checks that identity
-per link, which puts every eigenvalue of every P_i in (-1, 1], and checks
-the dense product of one round-robin sweep (``average_link`` applied to
-the columns of I) for spectral radius <= 1 and primitivity.  Through
-diag(sqrt v) that product is similar to the transposed product of the
-symmetrized links, so it has their spectrum and sign pattern.
+n x n matrix per link is stored.
+
+``check_spectrum`` checks that identity per link and reads a sweep's
+spectrum without forming it.  In z = diag(sqrt v) e link j is I - b_j b_j^T,
+b_j the unit vector along e_j/sqrt(v_j) - e_{j+1}/sqrt(v_{j+1}).  Links two
+apart commute, and AB and BA share their nonzero eigenvalues, so every link
+order has the nonzero spectrum of (even links)(odd links): the squared
+cosines sigma^2 of the principal angles between the even and the odd b_j.
+Their Gram matrix M has a unit diagonal, off-diagonal c_j =
+-(1/v_{j+1}) / sqrt(w_j w_{j+1}), w_j = 1/v_j + 1/v_{j+1}, and eigenvalues
+1 +- sigma, so |lambda_2| = (1 - mu_min(M))^2, mu_min found by Sturm-count
+bisection (Golub & Van Loan, "Matrix Computations", symmetric tridiagonal).
 ``iterate_consensus`` runs each sweep as one running weighted mean with
 ``average_link``'s float operations, bit for bit, and takes the O(n) max
 distance to the target only once the last entry is within tol of it.
@@ -19,6 +25,7 @@ distance to the target only once the last entry is within tol of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -50,41 +57,40 @@ def average_link(e, speeds, i: int) -> None:
 @dataclass
 class SpectrumReport:
     ok: bool
-    product_radius: float
-    primitive: bool
     violations: list[str]
     second_modulus: float  # |lambda_2| of the sweep product: its per-sweep contraction
 
 
+def _sturm_count(x: float, c2: list[float]) -> int:
+    """Eigenvalues <= x of the unit-diagonal tridiagonal matrix with squared
+    off-diagonal c2: its LDL^T pivots <= 0 at shift x, a zero one taken as negative."""
+    count, q = 0, 1.0 - x
+    for c in c2:
+        if q <= 0.0:
+            count += 1
+            q = min(q, -sys.float_info.min)
+        q = 1.0 - x - c / q
+    return count + (q <= 0.0)
+
+
 def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
     """Each P_i must be a projection (its one eigenvalue other than 1,
-    1 - eps_i (1/v_i + 1/v_{i+1}), is 0), and the sweep product must have
-    spectral radius <= 1 and be primitive."""
-    import numpy as np
-
+    1 - eps_i (1/v_i + 1/v_{i+1}), is 0), and M's eigenvalues must lie in
+    (0, 2): one Sturm count at 0, as diag(+-1) conjugates M to 2I - M.  The
+    sweep is primitive without a check: its row i is positive in columns
+    0..min(i+1, n-1), so it is irreducible with a positive diagonal."""
     v = m.speeds
-    violations = []
-    for i, eps in enumerate(m.eps):
-        lam = 1.0 - eps * (1.0 / v[i] + 1.0 / v[i + 1])
-        if abs(lam) > atol:
-            violations.append(f"link {i}: eigenvalue {lam} where a projection has 0")
-    product = np.eye(m.n)
-    for i in range(m.n - 1):
-        average_link(product, v, i)
-    moduli = sorted(abs(np.linalg.eigvals(product)), reverse=True)
-    radius = moduli[0]
-    if radius > 1.0 + atol:
-        violations.append(f"product spectral radius {radius} exceeds 1")
-    primitive = bool(np.all(np.linalg.matrix_power(product, m.n) > 0))
-    if not primitive:
-        violations.append("all-links product is not primitive")
-    return SpectrumReport(
-        ok=not violations,
-        product_radius=float(radius),
-        primitive=primitive,
-        violations=violations,
-        second_modulus=float(moduli[1]),
-    )
+    w = [1.0 / a + 1.0 / b for a, b in zip(v, v[1:])]
+    violations = [f"link {i}: eigenvalue {lam} where a projection has 0"
+                  for i, lam in enumerate(1.0 - eps * wi for eps, wi in zip(m.eps, w))
+                  if abs(lam) > atol]
+    c2 = [(1.0 / b) ** 2 / (wa * wb) for b, wa, wb in zip(v[1:], w, w[1:])]
+    if _sturm_count(0.0, c2):
+        violations.append("Gram matrix has an eigenvalue outside (0, 2)")
+    lo, hi = 0.0, 1.0  # count(lo) == 0 < count(hi): mu_min lies in (lo, hi]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if _sturm_count(mid, c2) else (mid, hi)
+    return SpectrumReport(not violations, violations, second_modulus=(1.0 - hi) ** 2)
 
 
 def fixed_point(speeds, e0) -> float:

@@ -486,6 +486,21 @@ class TestSimulate:
                        "--events", "50", "-o", str(tmp_path / "run")])
         assert rc == 0
 
+    def test_n_minus_with_a_given_start_exits_2(self, fig3_fleet_file, tmp_path, capsys):
+        # the flag used to be ignored: the run started from p0/o0 and exit 0
+        doc = json.loads(fig3_fleet_file.read_text())
+        for rb, p0, o0 in zip(doc["robots"], [100.0, 400.0, 600.0, 820.0], [1, -1, 1, -1]):
+            rb.update(p0=p0, o0=o0)
+        p = tmp_path / "stateful.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--n-minus", "2", "--events", "50", "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --n-minus ")
+        assert not out.exists()
+        assert cli.main(["simulate", str(p), "--n-minus", "2", "--random-start",
+                         "--events", "50", "-o", str(out)]) == 0
+
     def test_seeded_runs_byte_identical(self, fig3_fleet_file, tmp_path):
         blobs = []
         for k in range(2):
@@ -668,10 +683,11 @@ def test_module_entry_point():
 
 COLD_START = """
 import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import cyclepatrol.cli as cli
 
 def loaded(name):
-    return name in sys.modules
+    return sys.modules.get(name) is not None
 
 tmp = sys.argv[1]
 modules = ["cyclepatrol." + m for m in ("verify", "consensus", "rounds", "words", "metrics")]
@@ -691,11 +707,11 @@ print(json.dumps(out))
 """
 
 
-def test_cold_start_loads_numpy_only_for_the_oracles_that_use_it(square_tasks,
-                                                                  fig3_fleet_file, tmp_path):
-    # numpy is most of the CLI's import time; simulate, tour, sweep and the
-    # words, rounds and conservation suites never call it.  The modules the CLI
-    # imports stay loaded: the benchmark's layer tracer finds them there.
+def test_cold_start_runs_every_command_without_numpy(square_tasks, fig3_fleet_file,
+                                                      tmp_path):
+    # numpy is only a test dependency: every command and every suite, the
+    # consensus oracle included, runs with it unimportable.  The modules the
+    # CLI imports stay loaded: the benchmark's layer tracer finds them there.
     assert square_tasks.parent == fig3_fleet_file.parent == tmp_path
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -704,6 +720,5 @@ def test_cold_start_loads_numpy_only_for_the_oracles_that_use_it(square_tasks,
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got.pop("import") == [False, True]
-    assert got.pop("consensus") == [0, True]
     assert got == {name: [0, False] for name in
-                   ("simulate", "tour", "sweep", "rounds", "conservation", "words")}
+                   ("simulate", "tour", "sweep", "rounds", "conservation", "words", "consensus")}

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -32,6 +33,15 @@ def link_matrix(m, i):
     a = np.eye(m.n)
     consensus.average_link(a, m.speeds, i)
     return a
+
+
+def dense_sweep(m):
+    """The dense n x n product of one round-robin sweep: average_link
+    applied to the columns of I, links 0 to n-2 in turn."""
+    product = np.eye(m.n)
+    for i in range(m.n - 1):
+        consensus.average_link(product, m.speeds, i)
+    return product
 
 
 def random_matrices(rng, n_lo=2, n_hi=12, v_lo=0.1):
@@ -128,15 +138,18 @@ class TestSpectrum:
                 assert np.linalg.eigvalsh(reference_link(m, i)[2]).min() > -1e-12
 
     def test_product_primitive_and_contractive(self, rng):
+        # the docstring's path argument, on the dense reference: the sweep's
+        # n-th power is positive, and its spectral radius is 1
         for _ in range(20):
             m = random_matrices(rng, n_lo=3)
-            rep = consensus.check_spectrum(m)
-            assert rep.primitive
-            assert rep.product_radius <= 1.0 + 1e-9
+            product = dense_sweep(m)
+            assert np.all(np.linalg.matrix_power(product, m.n) > 0)
+            assert max(abs(np.linalg.eigvals(product))) == pytest.approx(1.0, abs=1e-9)
+            assert consensus.check_spectrum(m).ok
 
     def test_sweep_product_has_the_symmetrized_spectrum(self, rng):
-        # the radius check reads the sweep built from average_link; it must
-        # have the spectrum of the product of the reference Ptilde_i
+        # the sweep built from average_link has the spectrum of the product
+        # of the reference Ptilde_i, and check_spectrum reads its lambda_2
         for _ in range(20):
             m = random_matrices(rng, n_lo=3, n_hi=10)
             sweep = np.eye(m.n)
@@ -146,8 +159,8 @@ class TestSpectrum:
                 tilde = tilde @ reference_link(m, i)[1]
             sv = np.diag(np.sqrt(m.speeds))
             assert np.allclose(sv @ sweep @ np.linalg.inv(sv), tilde.T, atol=1e-10)
-            assert consensus.check_spectrum(m).product_radius == pytest.approx(
-                max(abs(np.linalg.eigvals(tilde))), abs=1e-9)
+            assert consensus.check_spectrum(m).second_modulus == pytest.approx(
+                sorted(abs(np.linalg.eigvals(tilde)))[-2], abs=1e-9)
 
     def test_mutant_eps_is_a_violation(self, rng):
         m = random_matrices(rng, n_lo=3)
@@ -156,16 +169,43 @@ class TestSpectrum:
         assert not rep.ok
         assert len(rep.violations) == m.n - 1 and "link 0" in rep.violations[0]
 
-
     def test_second_modulus_is_the_product_lambda_2(self, rng):
-        for _ in range(20):
-            m = random_matrices(rng, n_lo=3, n_hi=10)
-            product = np.eye(m.n)
-            for i in range(m.n - 1):
-                consensus.average_link(product, m.speeds, i)
-            moduli = sorted(abs(np.linalg.eigvals(product)))
-            assert consensus.check_spectrum(m).second_modulus == pytest.approx(moduli[-2],
-                                                                               abs=1e-12)
+        # the closed form against the dense sweep's eigenvalues, up to n = 64
+        for _ in range(60):
+            m = random_matrices(rng, n_lo=3, n_hi=64, v_lo=0.05)
+            moduli = sorted(abs(np.linalg.eigvals(dense_sweep(m))))
+            rep = consensus.check_spectrum(m)
+            assert rep.ok, rep.violations
+            assert rep.second_modulus == pytest.approx(moduli[-2], abs=1e-12)
+
+    def test_two_robots_contract_in_one_sweep(self, rng):
+        for _ in range(10):
+            m = random_matrices(rng, n_hi=2)
+            assert consensus.check_spectrum(m).second_modulus == 0.0
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 33, 64])
+    def test_equal_speeds_give_cos_squared(self, n):
+        rep = consensus.check_spectrum(consensus.build_matrices([0.7] * n))
+        assert rep.second_modulus == pytest.approx(math.cos(math.pi / n) ** 2, abs=1e-15)
+
+    def test_sturm_count_is_the_dense_eigenvalue_count(self, rng):
+        # off-diagonals up to sqrt(0.6) also give tridiagonals with
+        # eigenvalues outside (0, 2), which no Gram matrix of a fleet has
+        for _ in range(200):
+            c2 = [rng.uniform(0.0, 0.6) for _ in range(rng.randint(0, 12))]
+            off = np.sqrt(c2)
+            eig = np.linalg.eigvalsh(np.eye(len(c2) + 1) + np.diag(off, 1) + np.diag(off, -1))
+            x = rng.uniform(-1.0, 3.0)
+            if np.min(abs(eig - x)) > 1e-9:
+                assert consensus._sturm_count(x, c2) == int(np.sum(eig <= x))
+
+    def test_gram_eigenvalue_at_or_below_zero_is_a_violation(self, rng, monkeypatch):
+        sturm_count = consensus._sturm_count
+        # a count shifted by one: M then seems to have an eigenvalue <= 0
+        monkeypatch.setattr(consensus, "_sturm_count", lambda x, c2: sturm_count(x + 1.0, c2))
+        rep = consensus.check_spectrum(random_matrices(rng, n_lo=3))
+        assert not rep.ok
+        assert rep.violations == ["Gram matrix has an eigenvalue outside (0, 2)"]
 
 
 class TestIterate:
@@ -319,3 +359,11 @@ class TestSuite:
         name, ok, detail = res.checks[2]
         assert name == "sweeps_within_spectral_gap_bound"
         assert not ok, detail
+
+    def test_sweeps_capped_at_half_the_prediction_fail(self, monkeypatch):
+        # each fleet's sweeps are capped at its prediction plus two, so a
+        # prediction at half its value leaves fleets short of the mean
+        predicted = verify.predicted_sweeps
+        monkeypatch.setattr(verify, "predicted_sweeps", lambda *a: predicted(*a) / 2)
+        lines = verify.consensus_suite(n_fleets=10, engine_crosschecks=0).summary_lines()
+        assert lines[1].startswith("[FAIL] consensus: round_robin_reaches_weighted_mean")
