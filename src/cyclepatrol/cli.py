@@ -131,9 +131,11 @@ def cmd_verify(args) -> int:
         "rounds": ("--instances", "instances", args.instances),
         "conservation": ("--conservation-events", "total_events", args.conservation_events),
     }
-    for flag, _, value in sizes.values():
+    for name, (flag, _, value) in sizes.items():
         if value is not None and value < 1:
             return _bad_flag(flag, f"must be >= 1, got {value}")
+        if value is not None and name not in names:
+            return _bad_flag(flag, f"sizes the {name} suite, which --suite {args.suite} does not run")
     ok = True
     for name in names:
         _, param, value = sizes[name]

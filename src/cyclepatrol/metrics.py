@@ -116,9 +116,10 @@ def theorem_verdicts(trace: Trace) -> PerformanceReport:
     worst = 0.0
     measured = None
     enough = True
+    k = max(n_bal, 1)
     for j, series in inter_meeting_times(trace).items():
-        wins = windowed_revisit(series, max(n_bal, 1))
-        take = wins[-3:]
+        # the last 3 windows read only the last k + 2 times
+        take = windowed_revisit(series[-(k + 2):], k)
         if not take:
             enough = False
             continue

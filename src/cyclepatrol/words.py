@@ -15,8 +15,8 @@ built from them or printed.  A word's decomposition is the tuple of the
 (start, length) spans of its sequences, and a labelled round is the list
 of its sequences' rules, in span order.  A transition's rules and
 successors are a pure function of the mask, so
-`verify.words_exhaustive_suite` keys its per-length memo on it and judges
-each word once.
+`verify.words_exhaustive_suite` keys its per-length memo on it; as the
+step commutes with the cyclic shift, it judges one word per rotation class.
 """
 
 from __future__ import annotations

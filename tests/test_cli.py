@@ -544,6 +544,27 @@ class TestVerify:
         assert f"error: {flag} must be >= 1, got {value}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("suite, flag, sized", [
+        ("words", "--fleets", "consensus"),
+        ("consensus", "--samples", "words"),
+        ("conservation", "--instances", "rounds"),
+        ("rounds", "--conservation-events", "conservation"),
+    ])
+    def test_size_flag_of_a_suite_not_run_exits_2(self, capsys, suite, flag, sized):
+        # these used to run the chosen suite and ignore the flag, with exit 0
+        rc = cli.main(["verify", "--suite", suite, flag, "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {flag} sizes the {sized} suite, "
+                                f"which --suite {suite} does not run\n")
+        assert captured.out == ""
+
+    def test_all_suites_take_every_size_flag(self, capsys):
+        rc = cli.main(["verify", "--suite", "all", "--fleets", "2", "--samples", "50",
+                       "--instances", "1", "--conservation-events", "200"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11
+
 
 class TestSweep:
     def test_n_sweep_closed_form_monotone(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -455,3 +456,55 @@ class TestEachWalkCheckFires:
         assert Rule.MOVE_MINUS in classify_transition(w, step_word(w))
         _reported_interlaced(monkeypatch, step_word(w), True)
         assert re.fullmatch(r"\+\+\+--\+--: Move- sequence \d+ survived", _exhaustive_detail())
+
+
+def _necklaces(n):
+    """Binary necklaces of n beads, by Burnside's lemma over the n rotations."""
+    return sum(2 ** math.gcd(k, n) for k in range(n)) // n
+
+
+class TestRotationClasses:
+    """The exhaustive suite judges one word per rotation class.  With sigma
+    rotating a word by one letter, these are the obligations that make that
+    sound, and the faults it must still catch."""
+
+    def test_calculus_commutes_with_the_rotation(self):
+        for n in range(2, 13):
+            for plus in range(1, (1 << n) - 1):
+                w, sw = Word(n, plus), Word(n, words._rotl(plus, 1, n))
+                w2, sw2 = step_word(w), step_word(sw)
+                assert sw2 == Word(n, words._rotl(w2.plus, 1, n)), w
+                assert is_interlaced(sw) == is_interlaced(w), w
+                # a span is read as the positions it covers: a span of the
+                # whole ring starts at the first '+' of its word
+                rules = {words._span_mask((s + 1) % n, length, n): rule
+                         for (s, length), rule in zip(decompose(w), classify_transition(w, w2))}
+                spans = [words._span_mask(*span, n) for span in decompose(sw)]
+                assert set(spans) == set(rules), w
+                assert dict(zip(spans, classify_transition(sw, sw2))) == rules, w
+
+    def test_one_judged_word_per_class(self, monkeypatch):
+        judged = []
+        original = verify._word_checks
+
+        def checks(w, memo, probes):
+            judged.append(w)
+            return original(w, memo, probes)
+
+        monkeypatch.setattr(verify, "_word_checks", checks)
+        res = verify.words_exhaustive_suite()
+        assert res.checks == [("exhaustive_calculus", True, "8166 words <= n=12, max 5 rounds")]
+        assert len(judged) == sum(_necklaces(n) - 2 for n in range(2, 13)) == 777
+
+    def test_a_fault_at_the_seam_is_caught(self, monkeypatch):
+        # the pair across the seam (n - 1, 0) flips only when it is the
+        # word's one pair: a fault that no rotation of the word maps away
+        original = words.step_word
+
+        def step(w):
+            inner = words._pairs(w) & ~(1 << (w.n - 1))
+            return Word(w.n, w.plus ^ inner | words._rotl(inner, 1, w.n)) if inner else original(w)
+
+        monkeypatch.setattr(words, "step_word", step)
+        assert (_exhaustive_detail(max_n=6)
+                == "-+-++ -> --+++: successors [0, 1, 3, 4] do not tile [0, 4]")
