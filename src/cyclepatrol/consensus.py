@@ -129,7 +129,10 @@ def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,
     return e, max_sweeps, False
 
 
-def replay_trace(trace, rtol: float = 1e-9):
+REPLAY_TOL = 1e-9  # replay_trace's bound on an entry's error
+
+
+def replay_trace(trace):
     """Replay an engine trace's meetings through the link updates.
 
     From the first event at which every boundary is defined, each
@@ -137,7 +140,8 @@ def replay_trace(trace, rtol: float = 1e-9):
     force; the resulting vector must match the engine's traversing times
     (from the trace's replay cursor) entrywise.  After a logged parameter
     change, which recomputes all of e, the vector restarts from the
-    cursor's e.  Returns (ok, max_err, updates_checked).
+    cursor's e.  Returns (ok, max_err, updates_checked), ok meaning
+    max_err <= REPLAY_TOL.
     """
     e = None
     speeds = None
@@ -155,4 +159,4 @@ def replay_trace(trace, rtol: float = 1e-9):
             checked += 1
     if e is None:
         raise ValueError("trace never defines all boundaries")
-    return max_err <= rtol, max_err, checked
+    return max_err <= REPLAY_TOL, max_err, checked

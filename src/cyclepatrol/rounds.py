@@ -17,6 +17,8 @@ from . import words
 from .engine import CONVERGENCE_RTOL, Trace, contact, deviation, kin_at
 
 SEARCH_ROUNDS = 4.0  # choose_t0 searches this many round-widths of the trace
+COMPARE_ROUNDS = 100  # compare_with_engine steps the model this many rounds
+COMPARE_TOL = 1e-6  # its bound on every meeting's time and contact-point error
 
 
 class NotConvergedError(RuntimeError):
@@ -84,8 +86,8 @@ def choose_t0(trace: Trace) -> float:
     return best_mid
 
 
-def lift_from_trace(trace: Trace, t0: float | None = None) -> RoundState:
-    """Initial round state from a converged trace.
+def lift_from_trace(trace: Trace) -> RoundState:
+    """Initial round state from a converged trace, at t0 = `choose_t0`.
 
     The state at t0 must be within CONVERGENCE_RTOL of t_star.  Waiting
     robots carry te = t0; moving robots the exact time their zone
@@ -93,10 +95,7 @@ def lift_from_trace(trace: Trace, t0: float | None = None) -> RoundState:
     round width is the realized common traversing time (median of e at
     t0, within numerical noise of the closed form).
     """
-    if trace.converged_at is None:
-        raise NotConvergedError("trace never reached the convergence criterion")
-    if t0 is None:
-        t0 = choose_t0(trace)
+    t0 = choose_t0(trace)
     y_vals, e_vals, speeds, radii, kin = _state_at(trace, t0)
     dev = deviation(e_vals, trace.t_star)
     if dev > CONVERGENCE_RTOL:
@@ -185,7 +184,7 @@ class EquivalenceReport:
     max_time_err: float
     max_pos_err: float
     detail: str = ""
-    # the round model as stepped: n_rounds + 1 states and n_rounds meeting sets
+    # the round model as stepped: COMPARE_ROUNDS + 1 states and as many meeting sets
     states: list[RoundState] = field(default_factory=list, repr=False)
     meeting_sets: list[Meetings] = field(default_factory=list, repr=False)
 
@@ -193,14 +192,14 @@ class EquivalenceReport:
         return self.ok
 
 
-def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
-                        tol: float = 1e-6) -> EquivalenceReport:
-    """Step the round model from ``state``, a lift of this trace, and match
-    it meeting-for-meeting against the engine trace over the same window;
-    the report holds the states and meeting sets it stepped.
+def compare_with_engine(trace: Trace, state: RoundState) -> EquivalenceReport:
+    """Step the round model COMPARE_ROUNDS rounds from ``state``, a lift of
+    this trace, and match it meeting-for-meeting against the engine trace
+    over the same window, to COMPARE_TOL; the report holds the states and
+    meeting sets it stepped.
     """
-    states, sets = run_rounds(state, n_rounds)
-    t_end = state.t0 + n_rounds * state.t_round
+    states, sets = run_rounds(state, COMPARE_ROUNDS)
+    t_end = state.t0 + COMPARE_ROUNDS * state.t_round
     model = []  # (time, boundary, left contact, right contact)
     for ms in sets:
         for j, m in ms:
@@ -231,4 +230,4 @@ def compare_with_engine(trace: Trace, state: RoundState, n_rounds: int = 100,
             return report(False, max_dt, max_dp, f"pair mismatch at t={te_}: {jm} vs {je}")
         max_dt = max(max_dt, abs(tm - te_))
         max_dp = max(max_dp, abs(la - lb), abs(ra - rb))
-    return report(max_dt <= tol and max_dp <= tol, max_dt, max_dp)
+    return report(max_dt <= COMPARE_TOL and max_dp <= COMPARE_TOL, max_dt, max_dp)

@@ -2,8 +2,9 @@
 word calculus, the round model, and the simulator's conservation laws.
 
 Each suite returns a SuiteResult with per-check outcomes; the CLI maps a
-failing suite to exit code 3.  The exhaustive word suite judges one word
-per rotation class and each round once (see `words_exhaustive_suite`).
+failing suite to exit code 3.  The exhaustive word suite walks one word
+per rotation class forward and judges each round as it is labelled (see
+`words_exhaustive_suite`).
 The suites are sized so the full set runs in well under a few minutes;
 the acceptance tests call them at the sizes the criteria demand.
 """
@@ -41,8 +42,7 @@ class SuiteResult:
         ]
 
 
-def random_fleet(rng: random.Random, n: int | None = None) -> FleetConfig:
-    n = n if n is not None else rng.randint(2, 32)
+def random_fleet(rng: random.Random, n: int) -> FleetConfig:
     speeds = [rng.uniform(0.5, 10.0) for _ in range(n)]
     L = rng.uniform(500.0, 2000.0)
     budget = 0.25 * L / (2 * n)
@@ -136,6 +136,7 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
             f"{over_gap} fleets over, max sweeps above prediction {worst_excess:.2f}")
     worst_err = 0.0
     checked = 0
+    replays_ok = True
     for k in range(engine_crosschecks):
         cfg = random_fleet(rng, n=rng.randint(3, 8))
         inner = random.Random(seed + 100 + k)
@@ -144,9 +145,10 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
         sim = Simulation(cfg, positions, orientations)
         sim.run_until(max_events=3000)
         ok, err, count = consensus.replay_trace(sim.trace)
+        replays_ok &= ok
         worst_err = max(worst_err, err)
         checked += count
-    res.add("engine_replay_matches", worst_err <= 1e-9,
+    res.add("engine_replay_matches", replays_ok,
             f"{checked} updates, max err {worst_err:.3g}")
     return res
 
@@ -154,150 +156,81 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
 # -- word-calculus suite ---------------------------------------------------
 
 _REDUCING = (words.Rule.REDUCE, words.Rule.DISAPPEAR)
-_SURVIVED = "survived"  # a doomed lineage's outcome when it is still there at interlacing
 
 
-def _roles(w: words.Word) -> tuple[words.Rule, tuple[words.Rule, ...], words.Rule]:
-    """(doomed rule, rules forbidden after it, absorbing rule) for w's
-    majority letter.  The collaborative-rule lemmas are oriented for a '+'
-    majority; for a '-' majority the dynamics mirror and Move+ plays the
-    doomed role."""
-    Rule = words.Rule
-    if w.n_plus >= w.n_minus:
-        return Rule.MOVE_MINUS, (Rule.MOVE_PLUS, Rule.EXPAND), Rule.MOVE_PLUS
-    return Rule.MOVE_PLUS, (Rule.MOVE_MINUS, Rule.EXPAND), Rule.MOVE_MINUS
-
-
-def _violation(w: words.Word, rounds: int, span: tuple[int, int], message: str):
-    """The violation of start word w by the sequence at ``span`` after
-    ``rounds`` rounds; ``message`` has a {} for the id that
-    `words.TrackedEvolution` gives that sequence from w."""
-    ev = words.TrackedEvolution(w)
-    for _ in range(rounds):
-        ev.step()
-    sid = next(sid for sid, s in ev.ids.items() if s == span)
-    return words.CalculusViolation(f"{w}: " + message.format(sid))
-
-
-def _check_reduction(w: words.Word, rounds: int, span: tuple[int, int], fate: int) -> None:
-    """A sequence that begins reducing from length l dies after exactly
-    l/2 rounds, unless the word interlaces first (fate 0)."""
-    if fate and fate != span[1] // 2:
-        raise _violation(w, rounds, span, f"sequence {{}} reduced from {span[1]} in {fate} rounds")
-
-
-def _judge_round(w: words.Word, t: int, x: words.Word, spans, x2: words.Word, entry2):
-    """Label round t of start word w's walk, x -> x2, and run every check
-    that reads it; ``entry2`` is x2's memo entry.  Returns, per sequence
-    of x, its (rule, fate, doom):
-
-    - fate: the rounds until it disappears, or 0 if it is still there when
-      the word interlaces (read only while it runs Reduce or Disappear);
-    - doom: None if a lineage doomed by here disappears before
-      interlacing and runs no forbidden rule, else the forbidden rule it
-      runs or ``_SURVIVED``.
-    """
-    _, _, spans2, facts2 = entry2
-    n = x.n
-    if len(spans2) > len(spans):
-        raise words.CalculusViolation(f"{w}: sequence count grew")
-    rules, preds_by_target = words._label_transition(x, x2, spans, spans2)
-    succ = [None] * len(spans)
-    for j, preds in enumerate(preds_by_target):
-        for k in preds:
-            succ[k] = j
-    doomed_rule, forbidden, _ = _roles(x)
-    facts = []
-    for span, rule, j in zip(spans, rules, succ):
-        if j is None:  # it disappears
-            facts.append((rule, 1, rule if rule in forbidden else None))
-            continue
-        span2 = spans2[j]
-        # speed limit: spans move at most one position per round (a merged
-        # span's start comes from the absorbed partner, so skip those)
-        if (rule != words.Rule.MERGE and span2[1] < n
-                and (span2[0] - span[0]) % n not in (0, 1, n - 1)):
-            raise _violation(w, t + 1, span2, "sequence {} jumped")
-        if facts2 is None:  # x2 is interlaced
-            fate, doom = 0, _SURVIVED
-        else:
-            rule2, fate2, doom = facts2[j]
-            if rule2 not in _REDUCING:
-                if rule in _REDUCING:
-                    raise _violation(w, t + 1, span2, f"sequence {{}} stopped reducing ({rule2})")
-            elif rule not in _REDUCING:
-                _check_reduction(w, t + 1, span2, fate2)
-            fate = fate2 + 1 if fate2 else 0
-        # sequences that ran the doomed direction never reach interlacing
-        if rule == doomed_rule and doom is not None:
-            raise _violation(w, t, span, f"{doomed_rule} sequence {{}} survived"
-                             if doom == _SURVIVED else f"sequence {{}} ran {doom} after {doomed_rule}")
-        facts.append((rule, fate, rule if rule in forbidden else doom))
-    return tuple(facts)
-
-
-def _word_checks(w: words.Word, memo: dict, probes: dict) -> int:
+def _word_checks(w: words.Word, probes: dict) -> int:
     """Judge start word w against every lemma of the word calculus and
     return its rounds to interlacing.
 
-    ``memo`` maps the '+' mask of each word of w's length judged so far to
-    (rounds to interlacing, final word, sequence spans, facts), the facts
-    being `_judge_round`'s per sequence, or None for an interlaced word.
-    w walks forward, at most n rounds, to the first word that is in
-    ``memo`` or interlaced; the walked words are then judged backwards,
-    each round once, from its successor's entry, and the successor's
-    spans serve as the next word's decomposition.
+    w walks forward on a `words.TrackedEvolution`, at most n rounds, to
+    its first interlaced word, and each lemma is checked on the round it
+    happens: a span moves at most one position per round; a sequence that
+    reduced goes on reducing and dies exactly l/2 rounds after it began
+    reducing from length l, unless the word interlaces first; a lineage
+    that ran the doomed rule runs no forbidden rule after it and is gone
+    by interlacing.  Lineages are carried forward by sequence id along
+    the step's ``successors``, and a message names the id the lineage had
+    on the round that committed it.  The n_bal bound and the balanced
+    endgame are checked at the end of the walk.
 
-    This equals walking every start word round by round.  A round's
-    labels are a pure function of its word's letters.  Each check reads
-    one round, or one lineage whose outcome (when a reducing sequence
-    dies; whether a doomed one runs a forbidden rule or survives) follows
-    from its round and its successor's facts; a lineage begins reducing at
-    w or after a round it did not reduce in, and its death is checked
-    there.  A word enters ``memo`` only once its round passed every check,
-    so the first start word judged whose walk reaches a violation is the
-    one named, though it may be named by another of the checks it breaks;
-    the suite judges the first word of each rotation class.
-
-    The n_bal bound and the balanced endgame are checked per start word.
-    The absorbing-regime probe walks from each unbalanced final word and
-    reads each interlaced word's step once from ``probes``, which is keyed
-    by the '+' mask too; a repeat walk steps no word.
+    The collaborative-rule lemmas are oriented for a '+' majority; for a
+    '-' majority the dynamics mirror and Move+ plays the doomed role.  The
+    absorbing-regime probe walks from each unbalanced final word and reads
+    each interlaced word's step once from ``probes``, keyed by its '+'
+    mask; a repeat walk steps no word.
     """
+    Rule = words.Rule
     n = w.n
-    path = []  # the walked words, w first
-    x2 = w
-    while (entry := memo.get(x2.plus)) is None:
-        if words.is_interlaced(x2):
-            entry = memo[x2.plus] = (0, x2, words.decompose(x2), None)
-            break
-        if len(path) == n:
+    absorbing, doomed_rule = ((Rule.MOVE_PLUS, Rule.MOVE_MINUS) if w.n_plus >= w.n_minus
+                              else (Rule.MOVE_MINUS, Rule.MOVE_PLUS))
+    forbidden = (absorbing, Rule.EXPAND)
+    ev = words.TrackedEvolution(w)
+    reducing: dict[int, tuple[int, int]] = {}  # id -> (round it began reducing, length then)
+    doomed: dict[int, int] = {}  # id -> its lineage's id when it last ran the doomed rule
+    while not words.is_interlaced(ev.word):
+        if ev.round == n:
             raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
-        path.append(x2)
-        x2 = words.step_word(x2)
-    if entry[0] + len(path) > n:
-        raise words.CalculusViolation(f"{w} did not interlace within {n} rounds")
-    for t in range(len(path) - 1, -1, -1):
-        x = path[t]
-        spans = words.decompose(x)
-        facts = _judge_round(w, t, x, spans, x2, entry)
-        entry = memo[x.plus] = (entry[0] + 1, entry[1], spans, facts)
-        x2 = x
-    rounds, final, spans, facts = entry
-    for span, (rule, fate, _) in zip(spans, facts or ()):
-        if rule in _REDUCING:
-            _check_reduction(w, 0, span, fate)
-    if rounds >= max(w.n_bal, 1):
-        raise words.CalculusViolation(f"{w} took {rounds} rounds, bound is {w.n_bal}")
+        t, spans = ev.round, ev.ids
+        ev.step()
+        next_reducing, next_doomed = {}, {}
+        for sid, (start, length) in spans.items():
+            rule, nid = ev.rules[sid], ev.successors.get(sid)
+            if rule in _REDUCING:
+                began, began_len = reducing.get(sid, (t, length))
+                if nid is not None:
+                    next_reducing[nid] = began, began_len
+                elif t + 1 - began != began_len // 2:
+                    raise words.CalculusViolation(
+                        f"{w}: sequence {sid} reduced from {began_len} in {t + 1 - began} rounds")
+            elif sid in reducing:
+                raise words.CalculusViolation(f"{w}: sequence {sid} stopped reducing ({rule})")
+            if rule in forbidden and sid in doomed:
+                raise words.CalculusViolation(
+                    f"{w}: sequence {doomed[sid]} ran {rule} after {doomed_rule}")
+            if nid is None:
+                continue
+            # speed limit: spans move at most one position per round (a merged
+            # span's start comes from the absorbed partner, so skip those)
+            start2, length2 = ev.ids[nid]
+            if rule != Rule.MERGE and length2 < n and (start2 - start) % n not in (0, 1, n - 1):
+                raise words.CalculusViolation(f"{w}: sequence {nid} jumped")
+            tag = sid if rule == doomed_rule else doomed.get(sid)
+            if tag is not None:
+                next_doomed.setdefault(nid, tag)
+        reducing, doomed = next_reducing, next_doomed
+    if doomed:
+        raise words.CalculusViolation(
+            f"{w}: {doomed_rule} sequence {next(iter(doomed.values()))} survived")
+    if ev.round >= max(w.n_bal, 1):
+        raise words.CalculusViolation(f"{w} took {ev.round} rounds, bound is {w.n_bal}")
 
+    final = ev.word
     if final.n == 2 * final.n_bal:
-        final_spans = memo[final.plus][2]
-        if len(final_spans) != 1 or final_spans[0][1] != n:
+        if len(ev.spans) != 1 or ev.spans[0][1] != n:
             raise words.CalculusViolation(f"{w}: balanced endgame not a single cycle")
     else:
         # unbalanced absorbing behavior: every sequence slides through the
-        # majority letters forever (Move+ for a '+' majority, mirrored else)
-        absorbing = _roles(w)[2]
+        # majority letters forever
         x = final
         for _ in range(min(n, 6)):
             step = probes.get(x.plus)
@@ -308,27 +241,28 @@ def _word_checks(w: words.Word, memo: dict, probes: dict) -> int:
             x, absorbed = step
             if not absorbed:
                 raise words.CalculusViolation(f"{w}: interlaced word not in {absorbing} regime")
-    return rounds
+    return ev.round
 
 
 def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
-    """Run `_word_checks` on the first word, in ``itertools.product((1, -1))``
-    order, of each rotation class of the words of 2..max_n letters with
-    n_bal > 0, and count the whole class.
+    """Walk the first word, in ``itertools.product((1, -1))`` order, of each
+    rotation class of the words of 2..max_n letters with n_bal > 0 through
+    `_word_checks`, and count the whole class.
 
     The step is rule 184 on a ring, so it commutes with the cyclic shift
     (Fuks, Phys. Rev. E 1999), as do the interlacing test and n_bal; the
     decomposition is shift-equivariant as a set of position sets, and every
     rule and check reads positions relative to a span, mod n.  So a class
     shares its verdict and rounds, and a fault that commutes with the shift
-    is named at the word a walk over every word would name.  The memo and
-    the probe steps live for one length, as a word steps only to its own.
+    is named at the word a walk over every word would name: the first start
+    word whose walk reaches a violation, by the first check that the walk
+    breaks.  The probe steps live for one length, as a word steps only to
+    its own.
     """
     res = SuiteResult("words-exhaustive")
     count = max_rounds = 0
     violation = None
     for n in range(2, max_n + 1):
-        memo: dict = {}
         probes: dict = {}
         seen = bytearray(1 << n)  # the '+' masks whose class was judged
         seen[0] = seen[-1] = 1  # the uniform words, n_bal = 0
@@ -340,7 +274,7 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
             for mask in rotations:
                 seen[mask] = 1
             try:
-                max_rounds = max(max_rounds, _word_checks(words.Word(n, plus), memo, probes))
+                max_rounds = max(max_rounds, _word_checks(words.Word(n, plus), probes))
             except words.CalculusViolation as exc:
                 violation = str(exc)
                 break
@@ -387,10 +321,15 @@ def words_suite(random_samples: int = 10_000) -> SuiteResult:
 
 # -- round-model suite -----------------------------------------------------
 
-def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
-                 tol: float = 1e-6) -> SuiteResult:
+ROUNDS_SEED = 23  # seeds the rounds suite's fleets and its instance k's placement
+
+
+def rounds_suite(instances: int = 20) -> SuiteResult:
+    """Lift each of ``instances`` converged random fleets into the round
+    model and match `rounds.COMPARE_ROUNDS` rounds of it against the
+    engine."""
     res = SuiteResult("rounds")
-    rng = random.Random(seed)
+    rng = random.Random(ROUNDS_SEED)
     worst_dt = 0.0
     worst_dp = 0.0
     mismatches = []
@@ -401,13 +340,11 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         n = rng.randint(3, 10)
         cfg = random_fleet(rng, n=n)
         n_minus = rng.randint(1, n - 1)
-        sim = converged_simulation(cfg, seed=seed * 1000 + k, n_minus=n_minus,
+        sim = converged_simulation(cfg, seed=ROUNDS_SEED * 1000 + k, n_minus=n_minus,
                                    rtol=1e-11)
         state = rounds.lift_from_trace(sim.trace)
-        horizon = state.t0 + (n_rounds + 2) * state.t_round
-        sim.run_until(t_end=horizon)
-        rep = rounds.compare_with_engine(sim.trace, n_rounds=n_rounds, tol=tol,
-                                         state=state)
+        sim.run_until(t_end=state.t0 + (rounds.COMPARE_ROUNDS + 2) * state.t_round)
+        rep = rounds.compare_with_engine(sim.trace, state)
         worst_dt = max(worst_dt, rep.max_time_err)
         worst_dp = max(worst_dp, rep.max_pos_err)
         if not rep.ok:
@@ -416,7 +353,7 @@ def rounds_suite(instances: int = 20, n_rounds: int = 100, seed: int = 23,
         # interlaced regime: exactly n_bal meetings per round, and per full
         # n-round window each boundary hosts exactly n_bal of them
         n_bal = state.word.n_bal
-        full_windows = n_rounds // n
+        full_windows = rounds.COMPARE_ROUNDS // n
         states = rep.states[:full_windows * n + 1]
         sets = rep.meeting_sets[:full_windows * n]
         per_boundary = Counter(j for ms in sets for j, _t in ms)

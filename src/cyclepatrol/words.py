@@ -13,10 +13,10 @@ interlacing test and the decomposition are bit operations on that mask,
 so a step costs no work per letter; letters appear only where a word is
 built from them or printed.  A word's decomposition is the tuple of the
 (start, length) spans of its sequences, and a labelled round is the list
-of its sequences' rules, in span order.  A transition's rules and
-successors are a pure function of the mask, so
-`verify.words_exhaustive_suite` keys its per-length memo on it; as the
-step commutes with the cyclic shift, it judges one word per rotation class.
+of its sequences' rules, in span order.  `TrackedEvolution` follows
+each sequence's identity from round to round; `verify.words_exhaustive_suite`
+walks it forward from one word per rotation class, as the step commutes
+with the cyclic shift.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Word:
     nothing per letter.  A word is a value: equal words have equal n and
     mask, and neither is reassigned after it is built.  A word steps only
     to words of its own length, so among those the mask alone names it,
-    and it is the key of the exhaustive judge's per-length memo.
+    and it is the key of the exhaustive judge's per-length probe cache.
     """
 
     __slots__ = ("n", "plus")
@@ -281,31 +281,39 @@ class TrackedEvolution:
     """Step a word while tracking sequence identities across rounds.
 
     Merged groups keep the lowest member id.  Only the last step is kept:
-    ``rules`` maps each id before it to the rule it ran.  Each round steps
-    and decomposes the word once: the current word's spans carry over from
-    the round that produced it.
+    ``rules`` maps each id before it to the rule it ran, and
+    ``successors`` each id that did not disappear to the id of the
+    sequence it became.  Each round steps and decomposes the word once: the
+    current word's spans carry over from the round that produced it.  A
+    step raises, before it labels the round, if the sequences would grow
+    in number; the message names the word the evolution started from.
     """
 
     def __init__(self, w: Word):
+        self.start = w
         self.word = w
         self.round = 0
         self.spans = decompose(w)
         # ids are listed in the order of self.spans
         self.ids: dict[int, tuple[int, int]] = dict(enumerate(self.spans))
         self.rules: dict[int, Rule] = {}
+        self.successors: dict[int, int] = {}
 
     def step(self) -> Word:
         w2 = step_word(self.word)
         spans2 = decompose(w2)
+        if len(spans2) > len(self.spans):
+            raise CalculusViolation(f"{self.start}: sequence count grew")
         rules, preds_by_target = _label_transition(self.word, w2, self.spans, spans2)
         sids = list(self.ids)
+        # each target span keeps the lowest id among its predecessors
+        targets = [min(sids[k] for k in preds) for preds in preds_by_target]
 
         self.word = w2
         self.spans = spans2
         self.round += 1
-        # each target span keeps the lowest id among its predecessors
-        self.ids = {min(sids[k] for k in preds): span
-                    for span, preds in zip(spans2, preds_by_target)}
+        self.ids = dict(zip(targets, spans2))
         self.rules = dict(zip(sids, rules))
+        self.successors = {sids[k]: target
+                           for target, preds in zip(targets, preds_by_target) for k in preds}
         return w2
-

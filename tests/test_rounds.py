@@ -157,18 +157,18 @@ class TestLift:
 
     def test_waiting_robot_te_is_t0(self, converged_sim):
         sim = converged_sim
-        t0 = rounds.choose_t0(sim.trace)
-        *_, snap_states = rounds._state_at(sim.trace, t0)
-        st = lift_from_trace(sim.trace, t0=t0)
+        st = lift_from_trace(sim.trace)
+        assert st.t0 == rounds.choose_t0(sim.trace)
+        *_, snap_states = rounds._state_at(sim.trace, st.t0)
         for i, (_, _, _, a) in enumerate(snap_states):
             if a == 0:
-                assert st.te[i] == t0
+                assert st.te[i] == st.t0
 
     def test_engine_equivalence_100_rounds(self, converged_sim):
         sim = converged_sim
         st = lift_from_trace(sim.trace)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
-        rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
+        rep = compare_with_engine(sim.trace, st)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert rep.model_meetings == rep.engine_meetings == 400
 
@@ -189,7 +189,7 @@ class TestLift:
         evs = sim.trace.events
         k = next(k for k, ev in enumerate(evs) if ev.kind == "meeting" and ev.time > st.t0)
         trace = dataclasses.replace(sim.trace, events=corrupt(evs, k, t_end))
-        rep = compare_with_engine(trace, st, n_rounds=100, tol=1e-6)
+        rep = compare_with_engine(trace, st)
         assert not rep.ok
         assert rep.detail.startswith(detail)
 
@@ -228,6 +228,6 @@ class TestLiftAcrossChanges:
         run_to_deep_convergence(sim, rtol=1e-11)
         st = lift_from_trace(sim.trace)
         sim.run_until(t_end=st.t0 + 102 * st.t_round)
-        rep = compare_with_engine(sim.trace, st, n_rounds=100, tol=1e-6)
+        rep = compare_with_engine(sim.trace, st)
         assert rep.ok, (rep.detail, rep.max_time_err, rep.max_pos_err)
         assert st.radii[1] == 12.5

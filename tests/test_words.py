@@ -244,9 +244,9 @@ class TestExhaustiveSuite:
         raise AssertionError(f"no probe steps {target}")
 
     def _probe_patch(self, monkeypatch, break_it):
-        # The suite steps a TrackedEvolution only to probe an interlaced
-        # word (and to number the sequence a violation names), so round-0
-        # steps from TARGET are exactly the probes of TARGET.
+        # A walk steps a TrackedEvolution only from a word not yet
+        # interlaced, so round-0 steps from the interlaced TARGET are
+        # exactly the probes of TARGET.
         original = TrackedEvolution.step
         probes = []
 
@@ -337,27 +337,43 @@ def test_mask_rule_matches_the_letterwise_rule():
                 assert str(w) == "".join("+" if x == 1 else "-" for x in letters)
 
 
-def _facts(monkeypatch, change):
-    # what a judged word hands its predecessors: (rule, fate, doom) per sequence
-    original = verify._judge_round
-    monkeypatch.setattr(verify, "_judge_round",
-                        lambda *args: tuple(change(*fact) for fact in original(*args)))
+def _relabel(monkeypatch, change):
+    # what the judge reads of a round: change(ev, sid, rule, last) is the
+    # rule reported for id sid, last being the rule it ran the round before
+    original = TrackedEvolution.step
+
+    def step(ev):
+        last = ev.rules
+        w2 = original(ev)
+        ev.rules = {sid: change(ev, sid, rule, last.get(sid)) for sid, rule in ev.rules.items()}
+        return w2
+
+    monkeypatch.setattr(TrackedEvolution, "step", step)
+
+
+def _dies_next(ev, sid):
+    # whether the sequence that sid became disappears in the coming round
+    nid = ev.successors.get(sid)
+    return nid is not None and words._base_rule(ev.word, *ev.ids[nid])[0] == Rule.DISAPPEAR
 
 
 def _late_death(monkeypatch):
-    # every death reported one round late
-    _facts(monkeypatch, lambda rule, fate, doom: (rule, fate + 1 if fate else 0, doom))
+    # every death reported one round late: the round before a Disappear
+    # is reported as a Reduce
+    _relabel(monkeypatch, lambda ev, sid, rule, last:
+             Rule.REDUCE if _dies_next(ev, sid) else rule)
 
 
 def _reducing_as_move_plus(monkeypatch):
-    # a Disappear reported to its predecessor as Move+
-    _facts(monkeypatch, lambda rule, fate, doom:
-           (Rule.MOVE_PLUS if rule == Rule.DISAPPEAR else rule, fate, doom))
+    # a Disappear that ends a Reduce reported as Move+
+    _relabel(monkeypatch, lambda ev, sid, rule, last:
+             Rule.MOVE_PLUS if rule == Rule.DISAPPEAR and last == Rule.REDUCE else rule)
 
 
 def _doomed_as_expand(monkeypatch):
-    # every lineage reported to run Expand before it is gone
-    _facts(monkeypatch, lambda rule, fate, doom: (rule, fate, doom or Rule.EXPAND))
+    # every lineage reported to run Expand on the round it is gone
+    _relabel(monkeypatch, lambda ev, sid, rule, last:
+             Rule.EXPAND if sid not in ev.successors else rule)
 
 
 def _successors_swapped(monkeypatch):
@@ -392,10 +408,10 @@ def _exhaustive_detail(max_n=8):
 
 
 class TestEachRoundCheckFires:
-    """Falsify what the suite reads of a round: its labels, a word's
-    decomposition, or the facts a judged word hands its predecessors.  The
-    exhaustive suite must reject it with that check's message.  Words of
-    up to 7 letters run no Move+, Move- or Reduce, so the suite runs to 8."""
+    """Falsify what the suite reads of a round: its labels, its successors
+    or a word's decomposition.  The exhaustive suite must reject it with
+    that check's message.  Words of up to 7 letters run no Move+, Move- or
+    Reduce, so the suite runs to 8."""
 
     @pytest.mark.parametrize("corrupt, message", [
         (_reducing_as_move_plus, r"sequence \d+ stopped reducing \(Move\+\)"),
@@ -412,16 +428,46 @@ class TestEachRoundCheckFires:
     def test_reduction_is_judged_where_the_walk_reaches_it(self, monkeypatch):
         # "+++--+--", the first start word to reach "++-+--+-", steps to it
         # in one round; there a sequence disappears after a round it did not
-        # reduce in.  Its death reported late names "+++--+--".
-        late, original = W("++-+--+-"), verify._judge_round
-
-        def judge(w, t, x, *args):
-            facts = original(w, t, x, *args)
-            return tuple((r, f + 1 if f else 0, d) for r, f, d in facts) if x == late else facts
-
-        monkeypatch.setattr(verify, "_judge_round", judge)
+        # reduce in.  That round reported as a Reduce makes the death a
+        # round late, and the walk from "+++--+--" is the first to see it.
+        late = W("++-+--+-")
+        _relabel(monkeypatch, lambda ev, sid, rule, last:
+                 Rule.REDUCE if ev.word == late and _dies_next(ev, sid) else rule)
         detail = _exhaustive_detail()
         assert re.fullmatch(r"\+\+\+--\+--: sequence \d+ reduced from 2 in 2 rounds", detail), detail
+
+
+_MOVES_SWAPPED = {Rule.MOVE_PLUS: Rule.MOVE_MINUS, Rule.MOVE_MINUS: Rule.MOVE_PLUS}
+
+
+@pytest.mark.parametrize("mutant, max_n, expected", [
+    (lambda n, length, rule, succ: (_MOVES_SWAPPED.get(rule, rule), succ),
+     8, "++-: interlaced word not in Move+ regime"),
+    (lambda n, length, rule, succ: (Rule.MOVE_PLUS if rule == Rule.EXPAND else rule, succ),
+     8, "++---: Move+ sequence 0 survived"),
+    (lambda n, length, rule, succ: (Rule.EXPAND if rule == Rule.MOVE_MINUS else rule, succ),
+     8, "+--: interlaced word not in Move- regime"),
+    (lambda n, length, rule, succ: (Rule.EXPAND if rule == Rule.REDUCE else rule, succ),
+     10, "+++--+-+--: sequence 1 ran Expand after Move-"),
+    (lambda n, length, rule, succ:
+     (Rule.DISAPPEAR, None) if rule == Rule.REDUCE and length == 4 else (rule, succ),
+     8, "++--+-+- -> +-+--+-+: sequence at [5, 6] has no predecessor"),
+    (lambda n, length, rule, succ:
+     (rule, ((succ[0] + 1) % n, length) if rule == Rule.MOVE_MINUS else succ),
+     8, "+-- -> -+-: successors [0, 2] do not tile [1, 2]"),
+    (lambda n, length, rule, succ:
+     (rule, ((succ[0] - 1) % n, succ[1]) if rule == Rule.REDUCE else succ),
+     8, "++--+-+- -> +-+--+-+: successors [4, 5] do not tile [5, 6]"),
+], ids=["moves-swapped", "expand-as-move-plus", "move-minus-as-expand", "reduce-as-expand",
+        "reduce-4-as-disappear", "move-minus-jumps-2", "reduce-keeps-start"])
+def test_label_mutant_verdicts(monkeypatch, mutant, max_n, expected):
+    """A mislabelled or misplaced rule of one case of the calculus is
+    rejected with the message that names the first start word and check
+    it breaks."""
+    original = words._base_rule
+    monkeypatch.setattr(words, "_base_rule", lambda w, start, length:
+                        mutant(w.n, length, *original(w, start, length)))
+    assert _exhaustive_detail(max_n=max_n) == expected
 
 
 def _reported_interlaced(monkeypatch, word, interlaced):
@@ -435,11 +481,9 @@ class TestEachWalkCheckFires:
     falsified step or interlacing test."""
 
     def test_cycling_step_never_interlaces(self, monkeypatch):
-        # a step that rotates every word not yet interlaced
-        original = words.step_word
-        monkeypatch.setattr(words, "step_word", lambda w: original(w) if is_interlaced(w)
-                            else Word(w.n, w.plus >> 1 | (w.plus & 1) << (w.n - 1)))
-        assert _exhaustive_detail() == "++-- did not interlace within 4 rounds"
+        # "+-" steps to "-+" and back, and no word is reported interlaced
+        monkeypatch.setattr(words, "is_interlaced", lambda w: False)
+        assert _exhaustive_detail() == "+- did not interlace within 2 rounds"
 
     def test_a_round_late_breaks_the_bound(self, monkeypatch):
         # "+++--" (n_bal = 2) steps to "++-+-", reported not interlaced
@@ -487,14 +531,18 @@ class TestRotationClasses:
         judged = []
         original = verify._word_checks
 
-        def checks(w, memo, probes):
+        def checks(w, probes):
             judged.append(w)
-            return original(w, memo, probes)
+            return original(w, probes)
 
         monkeypatch.setattr(verify, "_word_checks", checks)
         res = verify.words_exhaustive_suite()
         assert res.checks == [("exhaustive_calculus", True, "8166 words <= n=12, max 5 rounds")]
         assert len(judged) == sum(_necklaces(n) - 2 for n in range(2, 13)) == 777
+
+    def test_fourteen_letters(self):
+        res = verify.words_exhaustive_suite(max_n=14)
+        assert res.checks == [("exhaustive_calculus", True, "32738 words <= n=14, max 6 rounds")]
 
     def test_a_fault_at_the_seam_is_caught(self, monkeypatch):
         # the pair across the seam (n - 1, 0) flips only when it is the
