@@ -22,7 +22,6 @@ from .scenario import (
     TaskSet,
     build_tour_mst,
     build_tour_nn,
-    map_1d_to_2d,
 )
 from .words import Word, decompose, is_interlaced, step_word
 
@@ -45,7 +44,6 @@ __all__ = [
     "compute_t_star",
     "decompose",
     "is_interlaced",
-    "map_1d_to_2d",
     "random_initial_state",
     "step_word",
 ]

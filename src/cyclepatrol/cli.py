@@ -91,10 +91,9 @@ def cmd_simulate(args) -> int:
     for ch in spec.changes:
         sim.schedule_parameter_change(ch["t"], ch["robot"],
                                       v=ch.get("v"), r=ch.get("r"))
-    if args.events is not None:
-        sim.run_until(max_events=args.events)
-    elif args.until is not None:
-        sim.run_until(t_end=args.until)
+    bounded = args.events is not None or args.until is not None
+    if bounded:  # stop at whichever bound comes first
+        sim.run_until(t_end=args.until, max_events=args.events)
     else:
         try:
             verify.run_to_deep_convergence(sim, rtol=1e-9)
@@ -119,27 +118,27 @@ def cmd_simulate(args) -> int:
               + (f" (measured {v.measured:.6f}, rel err {v.rel_err:.2e})"
                  if v.measured is not None else ""))
     print(f"{len(sim.trace.events)} events -> {outdir}")
-    return EXIT_OK if report.all_pass or args.events is not None or args.until is not None else EXIT_SUITE
+    return EXIT_OK if report.all_pass or bounded else EXIT_SUITE
 
 
 def cmd_verify(args) -> int:
     names = list(verify.ALL_SUITES) if args.suite == "all" else [args.suite]
-    # suite -> (flag, suite parameter, value or None for the suite's default)
+    # suite -> (flag, its one parameter's value or None for the suite's default)
     sizes = {
-        "consensus": ("--fleets", "n_fleets", args.fleets),
-        "words": ("--samples", "random_samples", args.samples),
-        "rounds": ("--instances", "instances", args.instances),
-        "conservation": ("--conservation-events", "total_events", args.conservation_events),
+        "consensus": ("--fleets", args.fleets),
+        "words": ("--samples", args.samples),
+        "rounds": ("--instances", args.instances),
+        "conservation": ("--conservation-events", args.conservation_events),
     }
-    for name, (flag, _, value) in sizes.items():
+    for name, (flag, value) in sizes.items():
         if value is not None and value < 1:
             return _bad_flag(flag, f"must be >= 1, got {value}")
         if value is not None and name not in names:
             return _bad_flag(flag, f"sizes the {name} suite, which --suite {args.suite} does not run")
     ok = True
     for name in names:
-        _, param, value = sizes[name]
-        result = verify.ALL_SUITES[name](**({} if value is None else {param: value}))
+        _, value = sizes[name]
+        result = verify.ALL_SUITES[name](*(() if value is None else (value,)))
         for line in result.summary_lines():
             print(line)
         ok = ok and result.ok
@@ -218,8 +217,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run the event-driven simulator")
     p.add_argument("fleet", help="fleet JSON file")
-    p.add_argument("--until", type=float, default=None, help="simulate to this time [s]")
-    p.add_argument("--events", type=int, default=None, help="simulate this many events")
+    p.add_argument("--until", type=float, default=None,
+                   help="simulate to this time [s], or to --events if that comes first")
+    p.add_argument("--events", type=int, default=None,
+                   help="simulate this many events, or to --until if that comes first")
     p.add_argument("--seed", type=int, default=0, help="seed for random placement")
     p.add_argument("--n-minus", type=int, default=None,
                    help="robots oriented backward for random placement")

@@ -19,7 +19,7 @@ Their Gram matrix M has a unit diagonal, off-diagonal c_j =
 bisection (Golub & Van Loan, "Matrix Computations", symmetric tridiagonal).
 ``iterate_consensus`` runs each sweep as one running weighted mean with
 ``average_link``'s float operations, bit for bit, and takes the O(n) max
-distance to the target only once the last entry is within tol of it.
+distance to the target only once the last entry is within CONSENSUS_TOL of it.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ def _sturm_count(x: float, c2: list[float]) -> int:
     return count + (q <= 0.0)
 
 
-def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
+SPECTRUM_ATOL = 1e-9  # check_spectrum's bound on a link's eigenvalue other than 1
+
+
+def check_spectrum(m: ConsensusMatrices) -> SpectrumReport:
     """Each P_i must be a projection (its one eigenvalue other than 1,
     1 - eps_i (1/v_i + 1/v_{i+1}), is 0), and M's eigenvalues must lie in
     (0, 2): one Sturm count at 0, as diag(+-1) conjugates M to 2I - M.  The
@@ -83,7 +86,7 @@ def check_spectrum(m: ConsensusMatrices, atol: float = 1e-9) -> SpectrumReport:
     w = [1.0 / a + 1.0 / b for a, b in zip(v, v[1:])]
     violations = [f"link {i}: eigenvalue {lam} where a projection has 0"
                   for i, lam in enumerate(1.0 - eps * wi for eps, wi in zip(m.eps, w))
-                  if abs(lam) > atol]
+                  if abs(lam) > SPECTRUM_ATOL]
     c2 = [(1.0 / b) ** 2 / (wa * wb) for b, wa, wb in zip(v[1:], w, w[1:])]
     if _sturm_count(0.0, c2):
         violations.append("Gram matrix has an eigenvalue outside (0, 2)")
@@ -98,19 +101,21 @@ def fixed_point(speeds, e0) -> float:
     return sum(v * e for v, e in zip(speeds, e0)) / sum(speeds)
 
 
-def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,
-                      max_sweeps: int = 10_000):
+CONSENSUS_TOL = 1e-9  # the sweeps' stopping distance to the weighted mean
+
+
+def iterate_consensus(m: ConsensusMatrices, e0, max_sweeps: int = 10_000):
     """Apply round-robin sweeps over all links (jointly connected
-    infinitely often) until the weighted mean.  Returns (e, sweeps,
-    converged), e a list.
+    infinitely often) until every entry lies within CONSENSUS_TOL of the
+    weighted mean.  Returns (e, sweeps, converged), e a list.
 
     A sweep applies links 0, 1, ..., n-2 in turn, so it is one running
     weighted mean: link i sets entries i and i+1 to (v_i m + v_{i+1}
     e_{i+1}) / (v_i + v_{i+1}), m being the mean link i-1 left in entry i.
     The sweep computes that mean with the float operations of
     ``average_link`` in the same order, so e is bit for bit the same.
-    The last entry holds the last mean; while it lies tol or more from the
-    target, so does the max over e, and the O(n) max is skipped.
+    The last entry holds the last mean; while it lies CONSENSUS_TOL or more
+    from the target, so does the max over e, and the O(n) max is skipped.
     """
     v = m.speeds
     e = [float(x) for x in e0]
@@ -124,7 +129,8 @@ def iterate_consensus(m: ConsensusMatrices, e0, tol: float = 1e-9,
             swept.append(mean)
         swept.append(mean)
         e = swept
-        if abs(mean - target) < tol and max(abs(x - target) for x in e) < tol:
+        if (abs(mean - target) < CONSENSUS_TOL
+                and max(abs(x - target) for x in e) < CONSENSUS_TOL):
             return e, sweep, True
     return e, max_sweeps, False
 

@@ -19,6 +19,7 @@ from .engine import CONVERGENCE_RTOL, Trace, contact, deviation, kin_at
 SEARCH_ROUNDS = 4.0  # choose_t0 searches this many round-widths of the trace
 COMPARE_ROUNDS = 100  # compare_with_engine steps the model this many rounds
 COMPARE_TOL = 1e-6  # its bound on every meeting's time and contact-point error
+SYNC_ATOL = 1e-9  # check_synchronization's bound on an event time's offset from its round
 
 
 class NotConvergedError(RuntimeError):
@@ -152,7 +153,7 @@ class SyncReport:
         return self.ok
 
 
-def check_synchronization(states: list[RoundState], atol: float = 1e-9) -> SyncReport:
+def check_synchronization(states: list[RoundState]) -> SyncReport:
     """Balanced interlaced fleets synchronize all event times within n/2
     rounds of reaching the interlaced configuration.  A step keeps the
     word's count of '+', so the first state's word decides balance."""
@@ -170,7 +171,7 @@ def check_synchronization(states: list[RoundState], atol: float = 1e-9) -> SyncR
             continue
         expect = (s.k - k0) * s.t_round + m0
         for i, t in enumerate(s.te):
-            if abs(t - expect) > atol:
+            if abs(t - expect) > SYNC_ATOL:
                 return SyncReport(ok=False, k0=k0, sync_round=sync_round,
                                   first_violation=(i, s.k, abs(t - expect)))
     return SyncReport(ok=True, k0=k0, sync_round=sync_round, first_violation=None)

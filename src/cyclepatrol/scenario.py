@@ -2,15 +2,13 @@
 
 Two tour heuristics are provided: the doubled minimum spanning tree walk
 and a greedy nearest-neighbor tour.  Both produce a ``CycleGraph`` whose
-positions live in [0, L]; ``map_1d_to_2d`` interpolates a cycle position
-back onto the plane.
+positions live in [0, L].
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .fleet import _integer, _list, _number
@@ -141,34 +139,6 @@ def build_tour_nn(tasks: TaskSet) -> CycleGraph:
         order.append(nxt)
         remaining.remove(nxt)
     return _graph_from_walk([items[i][1] for i in order])
-
-
-def map_1d_to_2d(graph: CycleGraph, p: float) -> Point:
-    """Interpolate cycle position p in [0, L] onto the plane.
-
-    p = 0 and p = L both map to waypoint 0.  Zero-length edges return
-    their endpoint.
-    """
-    L = graph.total_length
-    if not 0.0 <= p <= L:
-        raise ValueError(f"cycle position {p} outside [0, {L}]")
-    if L == 0.0:
-        return graph.waypoints[0]
-    cum = graph.cumulative_lengths
-    # segment s runs from waypoint s (at cum[s]) to waypoint s+1, the last
-    # segment being the closing edge back to waypoint 0
-    s = bisect_right(cum, p) - 1
-    if s >= len(graph.waypoints) - 1:
-        s = len(graph.waypoints) - 1
-        a, b = graph.waypoints[s], graph.waypoints[0]
-        seg_len = L - cum[s]
-    else:
-        a, b = graph.waypoints[s], graph.waypoints[s + 1]
-        seg_len = cum[s + 1] - cum[s]
-    if seg_len == 0.0:
-        return a
-    frac = (p - cum[s]) / seg_len
-    return (a[0] + (b[0] - a[0]) * frac, a[1] + (b[1] - a[1]) * frac)
 
 
 def tasks_from_dict(doc: dict) -> TaskSet:

@@ -85,15 +85,17 @@ def converged_simulation(cfg: FleetConfig, seed: int, n_minus: int | None = None
 
 # -- consensus suite ------------------------------------------------------
 
-CONSENSUS_TOL = 1e-9  # the sweeps' stopping distance to the weighted mean
+CONSENSUS_SEED = 7  # seeds the consensus suite's fleets and its crosschecks' placements
+ENGINE_CROSSCHECKS = 3  # engine runs whose meetings the consensus suite replays
 
 
-def predicted_sweeps(second_modulus: float, speeds, e0, tol: float) -> float:
+def predicted_sweeps(second_modulus: float, speeds, e0) -> float:
     """Sweeps for the distance to the weighted mean to fall from
-    ||e0 - mean||_inf to tol at |lambda_2| per sweep (Boyd, Ghosh,
-    Prabhakar & Shah, "Randomized gossip algorithms", IEEE T-IT 2006):
-    log(tol / ||e0 - mean||_inf) / log|lambda_2|, at least 0; inf when the
-    sweep product does not contract."""
+    ||e0 - mean||_inf to tol = `consensus.CONSENSUS_TOL` at |lambda_2| per
+    sweep (Boyd, Ghosh, Prabhakar & Shah, "Randomized gossip algorithms",
+    IEEE T-IT 2006): log(tol / ||e0 - mean||_inf) / log|lambda_2|, at
+    least 0; inf when the sweep product does not contract."""
+    tol = consensus.CONSENSUS_TOL
     if second_modulus >= 1.0:
         return math.inf
     mean = consensus.fixed_point(speeds, e0)
@@ -103,10 +105,9 @@ def predicted_sweeps(second_modulus: float, speeds, e0, tol: float) -> float:
     return math.log(tol / spread) / math.log(second_modulus)
 
 
-def consensus_suite(n_fleets: int = 200, seed: int = 7,
-                    engine_crosschecks: int = 3) -> SuiteResult:
+def consensus_suite(n_fleets: int = 200) -> SuiteResult:
     res = SuiteResult("consensus")
-    rng = random.Random(seed)
+    rng = random.Random(CONSENSUS_SEED)
     bad_spectrum = slow = worst_sweeps = over_gap = 0
     worst_excess = -math.inf
     for _ in range(n_fleets):
@@ -120,9 +121,9 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
         cuts = sorted(rng.uniform(0.0, 1000.0) for _ in range(n - 1))
         ys = [0.0] + cuts + [1000.0]
         e0 = [(ys[i + 1] - ys[i]) / speeds[i] for i in range(n)]
-        predicted = predicted_sweeps(rep.second_modulus, speeds, e0, CONSENSUS_TOL)
+        predicted = predicted_sweeps(rep.second_modulus, speeds, e0)
         cap = math.ceil(predicted) + 2 if predicted < math.inf else 10_000  # n=2: 0, needs 1
-        _, sweeps, converged = consensus.iterate_consensus(m, e0, CONSENSUS_TOL, cap)
+        _, sweeps, converged = consensus.iterate_consensus(m, e0, cap)
         worst_sweeps = max(worst_sweeps, sweeps)
         slow += not converged
         excess = sweeps - predicted
@@ -137,9 +138,9 @@ def consensus_suite(n_fleets: int = 200, seed: int = 7,
     worst_err = 0.0
     checked = 0
     replays_ok = True
-    for k in range(engine_crosschecks):
+    for k in range(ENGINE_CROSSCHECKS):
         cfg = random_fleet(rng, n=rng.randint(3, 8))
-        inner = random.Random(seed + 100 + k)
+        inner = random.Random(CONSENSUS_SEED + 100 + k)
         positions, orientations = random_initial_state(
             cfg, inner, n_minus=inner.randint(1, cfg.n - 1))
         sim = Simulation(cfg, positions, orientations)
@@ -286,13 +287,18 @@ def words_exhaustive_suite(max_n: int = 12) -> SuiteResult:
     return res
 
 
-def words_random_suite(n: int = 64, samples: int = 10_000, seed: int = 11) -> SuiteResult:
-    """Interlacing bound on large random words.  Each word has
-    m = randrange(1, n) '-' letters at random positions, drawn from
-    ``random.Random(seed)``, and is stepped by `words.step_word` for at
-    most n rounds."""
+RANDOM_WORD_LETTERS = 64  # the length n of every random word
+RANDOM_WORDS_SEED = 11  # seeds the random words' letters
+
+
+def words_random_suite(samples: int = 10_000) -> SuiteResult:
+    """Interlacing bound on large random words.  Each word of n =
+    RANDOM_WORD_LETTERS letters has m = randrange(1, n) '-' letters at
+    random positions, drawn from ``random.Random(RANDOM_WORDS_SEED)``, and
+    is stepped by `words.step_word` for at most n rounds."""
     res = SuiteResult("words-random")
-    rng = random.Random(seed)
+    n = RANDOM_WORD_LETTERS
+    rng = random.Random(RANDOM_WORDS_SEED)
     full = (1 << n) - 1
     stuck = over = max_rounds = 0
     for _ in range(samples):
@@ -313,7 +319,7 @@ def words_random_suite(n: int = 64, samples: int = 10_000, seed: int = 11) -> Su
 
 def words_suite(random_samples: int = 10_000) -> SuiteResult:
     res = SuiteResult("words")
-    for sub in (words_exhaustive_suite(), words_random_suite(samples=random_samples)):
+    for sub in (words_exhaustive_suite(), words_random_suite(random_samples)):
         for name, ok, detail in sub.checks:
             res.add(name, ok, detail)
     return res
@@ -376,12 +382,15 @@ def rounds_suite(instances: int = 20) -> SuiteResult:
 
 # -- conservation suite ------------------------------------------------------
 
-def conservation_suite(total_events: int = 100_000, seed: int = 31,
-                       rtol: float = 1e-9) -> SuiteResult:
+CONSERVATION_SEED = 31  # seeds the conservation suite's fleets and placements
+CONSERVATION_RTOL = 1e-9  # its bound on a meeting's pair gap and on the weighted e sum's drift
+
+
+def conservation_suite(total_events: int = 100_000) -> SuiteResult:
     """Step random instances event by event, asserting the invariants the
     protocol preserves; runs until the requested event budget is spent."""
     res = SuiteResult("conservation")
-    rng = random.Random(seed)
+    rng = random.Random(CONSERVATION_SEED)
     events_done = 0
     violations: list[str] = []
     runs = 0
@@ -416,13 +425,13 @@ def conservation_suite(total_events: int = 100_000, seed: int = 31,
                 scale = max(abs(ev.e_a), abs(ev.e_b), 1.0)
                 gap = abs(ev.e_a - ev.e_b) / scale
                 worst_pair = max(worst_pair, gap)
-                if gap > rtol:
+                if gap > CONSERVATION_RTOL:
                     violations.append(f"run {runs}: post-meeting times unequal")
                     break
             if sim.all_boundaries_known():
                 e = sim.e_values()
                 weighted = sum(v * x for v, x in zip(sim.v, e))
-                if abs(weighted - invariant) > rtol * max(1.0, abs(invariant)):
+                if abs(weighted - invariant) > CONSERVATION_RTOL * max(1.0, abs(invariant)):
                     violations.append(f"run {runs}: weighted e sum drifted")
                     break
         del sim  # free this run's trace before the next run builds its own

@@ -191,54 +191,65 @@ def _positions(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
 
 
-def _base_rule(w: Word, start: int, length: int) -> tuple[Rule, tuple[int, int] | None]:
-    """Rule and successor span for one sequence, ignoring merges."""
-    n = w.n
-    if length == n:
+# each base rule's move of a span (start, length) to its successor
+# (start + d_start, length + d_length), mod n; a Disappear leaves none
+_GEOMETRY: dict[Rule, tuple[int, int] | None] = {
+    Rule.MOVE_PLUS: (-1, 0),
+    Rule.MOVE_MINUS: (1, 0),
+    Rule.EXPAND: (-1, 2),
+    Rule.REDUCE: (1, -2),
+    Rule.DISAPPEAR: None,
+}
+
+
+def _base_rule(w: Word, start: int, length: int) -> Rule:
+    """The rule of one sequence, ignoring merges, read from the letters
+    around it."""
+    if length == w.n:
         # the whole word is one interlaced cycle; it rotates left each round
-        return Rule.MOVE_PLUS, ((start - 1) % n, n)
-    left_plus = w.plus >> ((start - 1) % n) & 1
-    right_plus = w.plus >> ((start + length) % n) & 1
+        return Rule.MOVE_PLUS
+    left_plus = w.plus >> ((start - 1) % w.n) & 1
+    right_plus = w.plus >> ((start + length) % w.n) & 1
     if left_plus and right_plus:
-        return Rule.MOVE_PLUS, ((start - 1) % n, length)
+        return Rule.MOVE_PLUS
     if not (left_plus or right_plus):
-        return Rule.MOVE_MINUS, ((start + 1) % n, length)
+        return Rule.MOVE_MINUS
     if left_plus:
-        return Rule.EXPAND, ((start - 1) % n, length + 2)
+        return Rule.EXPAND
     # a '-' on the left, a '+' on the right
-    if length == 2:
-        return Rule.DISAPPEAR, None
-    return Rule.REDUCE, ((start + 1) % n, length - 2)
+    return Rule.DISAPPEAR if length == 2 else Rule.REDUCE
 
 
-def classify_transition(w: Word, w_next: Word) -> list[Rule]:
-    """The rule explaining w -> w_next of every sequence of w, in the order
-    of ``decompose(w)``.
-
-    Raises CalculusViolation if the labeled successors (after merging
-    abutting spans) do not reproduce the canonical decomposition of
-    w_next.
-    """
-    if step_word(w) != w_next:
-        raise ValueError("w_next is not step_word(w)")
-    return _label_transition(w, w_next, decompose(w), decompose(w_next))[0]
+def _successor_mask(w: Word, start: int, length: int, rule: Rule) -> int:
+    """The positions the sequence at (start, length) covers after the
+    round, as `_GEOMETRY` moves it for ``rule``: 0 if it leaves none."""
+    if rule not in _GEOMETRY:
+        raise CalculusViolation(
+            f"{w}: sequence at {_positions(_span_mask(start, length, w.n), w.n)} "
+            f"has no {rule} move")
+    move = _GEOMETRY[rule]
+    if move is None:
+        return 0
+    return _span_mask((start + move[0]) % w.n, length + move[1], w.n)
 
 
 def _label_transition(
     w: Word, w_next: Word, spans: tuple[tuple[int, int], ...],
     next_spans: tuple[tuple[int, int], ...],
 ) -> tuple[list[Rule], list[list[int]]]:
-    """`classify_transition` on given sequence spans of w and w_next (their
-    decompositions); ``rules[k]`` is the rule of ``spans[k]``, MERGE
-    overriding the base rule when spans coalesce.
+    """The rule explaining w -> w_next of each sequence of w, given the
+    sequence spans of w and w_next (their decompositions): ``rules[k]`` is
+    the rule of ``spans[k]``, MERGE overriding the base rule when spans
+    coalesce.
 
     Also returns, for each sequence of w_next in order, the indices of the
     sequences of w whose successors tile it.  Spans are compared as int
-    bitmasks of their positions.
+    bitmasks of their positions.  Raises CalculusViolation if the moved
+    spans, merged where they abut, do not reproduce ``next_spans``.
     """
     n = w.n
-    base = [(span, *_base_rule(w, *span)) for span in spans]
-    succ_masks = [_span_mask(*succ, n) if succ else 0 for _, _, succ in base]
+    base = [_base_rule(w, *span) for span in spans]
+    succ_masks = [_successor_mask(w, *span, rule) for span, rule in zip(spans, base)]
 
     # group predecessors onto the canonical spans of the next word
     merged = [False] * len(base)
@@ -270,10 +281,10 @@ def _label_transition(
         if ss and not claimed[k]:
             raise CalculusViolation(
                 f"{w} -> {w_next}: successor {_positions(ss, n)} "
-                f"of sequence {base[k][0]} vanished"
+                f"of sequence {spans[k]} vanished"
             )
 
-    rules = [Rule.MERGE if merged[k] else rule for k, (_, rule, _) in enumerate(base)]
+    rules = [Rule.MERGE if merged[k] else rule for k, rule in enumerate(base)]
     return rules, preds_by_target
 
 

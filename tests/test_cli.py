@@ -171,6 +171,26 @@ class TestSimulate:
         assert f"error: {flag} must be" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("until, events, rows", [
+        ("50", "1000", 1),  # --until comes first: the one event before t = 50 s
+        ("1e6", "20", 20),  # --events comes first
+    ])
+    def test_events_and_until_stop_at_the_first_bound(self, tmp_path, capsys,
+                                                      until, events, rows):
+        # --events used to win and --until was ignored: 1000 events ran to
+        # t = 16,915.69 s
+        p = tmp_path / "fleet.json"
+        p.write_text(json.dumps(eight_robot_doc()))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", str(p), "--events", events, "--until", until,
+                       "-o", str(out)])
+        assert rc == 0
+        with open(out / "trace.csv", newline="") as fh:
+            times = [float(row["time"]) for row in csv.DictReader(fh)]
+        assert len(times) == rows
+        assert times[-1] <= float(until)
+        assert capsys.readouterr().out.endswith(f"\n{rows} events -> {out}\n")
+
     def test_truncated_fleet_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "cut.json"
         p.write_text(json.dumps(eight_robot_doc())[:40])

@@ -337,13 +337,14 @@ class TestEngineReplay:
 
 class TestSuite:
     def test_sweeps_within_spectral_gap_bound(self):
-        res = verify.consensus_suite(n_fleets=40, engine_crosschecks=0)
+        res = verify.consensus_suite(n_fleets=40)
         assert res.ok, res.summary_lines()
         assert res.checks[2][0] == "sweeps_within_spectral_gap_bound"
 
     def test_sweep_skipping_a_link_fails_the_bound(self, monkeypatch):
-        def skip_one_link(m, e0, tol=1e-9, max_sweeps=10_000):
+        def skip_one_link(m, e0, max_sweeps=10_000):
             # round-robin sweeps that leave out link (sweep mod n-1)
+            tol = consensus.CONSENSUS_TOL
             e = [float(x) for x in e0]
             target = consensus.fixed_point(m.speeds, e0)
             for sweep in range(1, max_sweeps + 1):
@@ -355,7 +356,7 @@ class TestSuite:
             return e, max_sweeps, False
 
         monkeypatch.setattr(consensus, "iterate_consensus", skip_one_link)
-        res = verify.consensus_suite(n_fleets=10, engine_crosschecks=0)
+        res = verify.consensus_suite(n_fleets=10)
         name, ok, detail = res.checks[2]
         assert name == "sweeps_within_spectral_gap_bound"
         assert not ok, detail
@@ -365,5 +366,5 @@ class TestSuite:
         # prediction at half its value leaves fleets short of the mean
         predicted = verify.predicted_sweeps
         monkeypatch.setattr(verify, "predicted_sweeps", lambda *a: predicted(*a) / 2)
-        lines = verify.consensus_suite(n_fleets=10, engine_crosschecks=0).summary_lines()
+        lines = verify.consensus_suite(n_fleets=10).summary_lines()
         assert lines[1].startswith("[FAIL] consensus: round_robin_reaches_weighted_mean")

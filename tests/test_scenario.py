@@ -4,8 +4,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cyclepatrol.scenario import (
     CycleGraph,
@@ -13,7 +11,6 @@ from cyclepatrol.scenario import (
     build_tour_mst,
     build_tour_nn,
     graph_to_dict,
-    map_1d_to_2d,
     mst_edges,
     tasks_from_dict,
 )
@@ -115,52 +112,6 @@ class TestNnTour:
         # tasks 2 and 3 are equidistant from 1; the tour must pick 2 first
         g = build_tour_nn(tasks((0, 0), (1, 0), (-1, 0)))
         assert g.waypoints[1] == (1.0, 0.0)
-
-
-class TestMap1dTo2d:
-    @pytest.fixture
-    def square(self):
-        return build_tour_nn(tasks((0, 0), (10, 0), (10, 10), (0, 10)))
-
-    def test_anchor(self, square):
-        assert map_1d_to_2d(square, 0.0) == (0.0, 0.0)
-
-    def test_interior_point(self, square):
-        # halfway along the second edge
-        assert map_1d_to_2d(square, 15.0) == pytest.approx((10.0, 5.0), abs=1e-12)
-
-    def test_wrap(self, square):
-        assert map_1d_to_2d(square, 40.0) == pytest.approx((0.0, 0.0), abs=1e-12)
-
-    def test_out_of_range(self, square):
-        with pytest.raises(ValueError):
-            map_1d_to_2d(square, 40.0001)
-        with pytest.raises(ValueError):
-            map_1d_to_2d(square, -0.1)
-
-    def test_waypoints_map_exactly(self, square):
-        for s, wp in enumerate(square.waypoints):
-            assert map_1d_to_2d(square, square.cumulative_lengths[s]) == wp
-
-    def test_segments_are_affine(self, square):
-        # midpoint of two images on one edge equals the image of the midpoint
-        for a, b in [(1.0, 7.0), (11.0, 19.0), (21.0, 29.0)]:
-            pa, pb = map_1d_to_2d(square, a), map_1d_to_2d(square, b)
-            mid = map_1d_to_2d(square, (a + b) / 2)
-            assert mid == pytest.approx(((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2), abs=1e-12)
-
-    def test_zero_length_edge(self):
-        g = build_tour_nn(tasks((0, 0), (0, 0), (5, 0)))
-        # positions on the zero-length edge return its endpoint
-        assert map_1d_to_2d(g, 0.0) == (0.0, 0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
-    def test_2d_distance_never_exceeds_cycle_distance(self, p, q):
-        square = build_tour_nn(tasks((0, 0), (10, 0), (10, 10), (0, 10)))
-        a, b = map_1d_to_2d(square, p), map_1d_to_2d(square, q)
-        d_cycle = min(abs(p - q), 40.0 - abs(p - q))
-        assert math.dist(a, b) <= d_cycle + 1e-9
 
 
 class TestValidationAndJson:

@@ -2,10 +2,11 @@
 whose every step breaks one fact the protocol preserves."""
 
 import dataclasses
+import inspect
 
 import pytest
 
-from cyclepatrol import rounds, verify
+from cyclepatrol import consensus, rounds, verify
 from cyclepatrol.engine import Simulation
 
 
@@ -71,3 +72,14 @@ def test_rounds_suite_counts_an_instance_off_once(monkeypatch):
                         lambda *a, **kw: dataclasses.replace(compare(*a, **kw), ok=True))
     res = verify.rounds_suite(instances=1)
     assert "[FAIL] rounds: interlaced_meeting_counts (1 instances off)" in res.summary_lines()
+
+
+def test_each_suite_takes_only_its_size():
+    # every seed and tolerance is a named constant: what a suite runs is
+    # fixed by the one size its CLI flag sets
+    for name, suite in verify.ALL_SUITES.items():
+        assert len(inspect.signature(suite).parameters) == 1, name
+    for helper in (consensus.iterate_consensus, verify.predicted_sweeps,
+                   consensus.check_spectrum, rounds.check_synchronization):
+        params = inspect.signature(helper).parameters
+        assert not {"tol", "atol", "rtol"} & set(params), helper.__name__

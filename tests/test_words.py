@@ -13,7 +13,6 @@ from cyclepatrol.words import (
     Rule,
     TrackedEvolution,
     Word,
-    classify_transition,
     decompose,
     is_interlaced,
     meeting_pairs,
@@ -129,17 +128,23 @@ class TestInterlaced:
                 assert is_interlaced(Word.from_letters(bits))
 
 
+def _label(w, w2=None):
+    """The labelled round w -> w2 (by default ``step_word(w)``), on fresh
+    decompositions of both words."""
+    w2 = step_word(w) if w2 is None else w2
+    return words._label_transition(w, w2, decompose(w), decompose(w2))
+
+
 def _rules(w):
     """Each span of w with the rule it runs, in span order."""
-    return list(zip(decompose(w), classify_transition(w, step_word(w))))
+    return list(zip(decompose(w), _label(w)[0]))
 
 
 def _successors(w):
     """Each span of w that survives the round, mapped to the span of
     ``decompose(step_word(w))`` it lands on."""
-    w2 = step_word(w)
-    spans, spans2 = decompose(w), decompose(w2)
-    _, preds_by_target = words._label_transition(w, w2, spans, spans2)
+    _, preds_by_target = _label(w)
+    spans, spans2 = decompose(w), decompose(step_word(w))
     return {spans[k]: span2 for span2, preds in zip(spans2, preds_by_target) for k in preds}
 
 
@@ -172,8 +177,10 @@ class TestClassify:
         assert _rules(W("+-+-")) == [((0, 4), Rule.MOVE_PLUS)]
 
     def test_wrong_successor_rejected(self):
-        with pytest.raises(ValueError):
-            classify_transition(W("++--"), W("++--"))
+        # "++--" steps to "+-+-": its Expand cannot land on "++--" again
+        message = "++-- -> ++--: successors [0, 1, 2, 3] do not tile [1, 2]"
+        with pytest.raises(CalculusViolation, match=re.escape(message)):
+            _label(W("++--"), W("++--"))
 
 
 class TestEvolve:
@@ -215,8 +222,8 @@ def _nonuniform_words(max_n):
 
 class TestTrackedEvolution:
     def test_rules_match_public_classify(self):
-        # the carried spans must label every round exactly as the public
-        # path that decomposes both words from scratch
+        # the carried spans must label every round exactly as a labelling
+        # that decomposes both words from scratch
         for w in _nonuniform_words(9):
             ev = TrackedEvolution(w)
             while not is_interlaced(ev.word):
@@ -354,7 +361,7 @@ def _relabel(monkeypatch, change):
 def _dies_next(ev, sid):
     # whether the sequence that sid became disappears in the coming round
     nid = ev.successors.get(sid)
-    return nid is not None and words._base_rule(ev.word, *ev.ids[nid])[0] == Rule.DISAPPEAR
+    return nid is not None and words._base_rule(ev.word, *ev.ids[nid]) == Rule.DISAPPEAR
 
 
 def _late_death(monkeypatch):
@@ -440,34 +447,49 @@ class TestEachRoundCheckFires:
 _MOVES_SWAPPED = {Rule.MOVE_PLUS: Rule.MOVE_MINUS, Rule.MOVE_MINUS: Rule.MOVE_PLUS}
 
 
-@pytest.mark.parametrize("mutant, max_n, expected", [
-    (lambda n, length, rule, succ: (_MOVES_SWAPPED.get(rule, rule), succ),
-     8, "++-: interlaced word not in Move+ regime"),
-    (lambda n, length, rule, succ: (Rule.MOVE_PLUS if rule == Rule.EXPAND else rule, succ),
-     8, "++---: Move+ sequence 0 survived"),
-    (lambda n, length, rule, succ: (Rule.EXPAND if rule == Rule.MOVE_MINUS else rule, succ),
-     8, "+--: interlaced word not in Move- regime"),
-    (lambda n, length, rule, succ: (Rule.EXPAND if rule == Rule.REDUCE else rule, succ),
-     10, "+++--+-+--: sequence 1 ran Expand after Move-"),
-    (lambda n, length, rule, succ:
-     (Rule.DISAPPEAR, None) if rule == Rule.REDUCE and length == 4 else (rule, succ),
-     8, "++--+-+- -> +-+--+-+: sequence at [5, 6] has no predecessor"),
-    (lambda n, length, rule, succ:
-     (rule, ((succ[0] + 1) % n, length) if rule == Rule.MOVE_MINUS else succ),
-     8, "+-- -> -+-: successors [0, 2] do not tile [1, 2]"),
-    (lambda n, length, rule, succ:
-     (rule, ((succ[0] - 1) % n, succ[1]) if rule == Rule.REDUCE else succ),
-     8, "++--+-+- -> +-+--+-+: successors [4, 5] do not tile [5, 6]"),
+def _relabelled(old, new, length=None):
+    # the base rule `old` labelled `new`, on spans of any length or of one
+    return lambda span_length, rule: (
+        new if rule == old and length in (None, span_length) else rule)
+
+
+@pytest.mark.parametrize("relabel, geometry, expected", [
+    (lambda length, rule: _MOVES_SWAPPED.get(rule, rule), {},
+     "++- -> +-+: successors [0, 2] do not tile [0, 1]"),
+    (_relabelled(Rule.EXPAND, Rule.MOVE_PLUS), {},
+     "++-- -> +-+-: successors [0, 1] do not tile [0, 1, 2, 3]"),
+    (_relabelled(Rule.MOVE_MINUS, Rule.EXPAND), {},
+     "+-- -> -+-: successors [0, 1, 2] do not tile [1, 2]"),
+    (_relabelled(Rule.REDUCE, Rule.EXPAND), {},
+     "++--+-+- -> +-+--+-+: successors [0, 1, 2, 3, 4, 5, 6, 7] do not tile [0, 1, 2, 3]"),
+    (_relabelled(Rule.REDUCE, Rule.DISAPPEAR, length=4), {},
+     "++--+-+- -> +-+--+-+: sequence at [5, 6] has no predecessor"),
+    (None, {Rule.MOVE_MINUS: (2, 0)},
+     "+-- -> -+-: successors [0, 2] do not tile [1, 2]"),
+    (None, {Rule.REDUCE: (0, -2)},
+     "++--+-+- -> +-+--+-+: successors [4, 5] do not tile [5, 6]"),
+    (_relabelled(Rule.REDUCE, Rule.MOVE_MINUS), {},
+     "++--+-+- -> +-+--+-+: successors [0, 1, 2, 3, 5, 6, 7] do not tile [0, 1, 2, 3]"),
+    (_relabelled(Rule.EXPAND, Rule.REDUCE), {},
+     "++-- -> +-+-: sequence at [0, 1, 2, 3] has no predecessor"),
+    (_relabelled(Rule.REDUCE, Rule.MERGE), {},
+     "++--+-+-: sequence at [4, 5, 6, 7] has no Merge move"),
+    (_relabelled(Rule.EXPAND, Rule.MERGE), {},
+     "++--: sequence at [1, 2] has no Merge move"),
 ], ids=["moves-swapped", "expand-as-move-plus", "move-minus-as-expand", "reduce-as-expand",
-        "reduce-4-as-disappear", "move-minus-jumps-2", "reduce-keeps-start"])
-def test_label_mutant_verdicts(monkeypatch, mutant, max_n, expected):
-    """A mislabelled or misplaced rule of one case of the calculus is
-    rejected with the message that names the first start word and check
-    it breaks."""
-    original = words._base_rule
-    monkeypatch.setattr(words, "_base_rule", lambda w, start, length:
-                        mutant(w.n, length, *original(w, start, length)))
-    assert _exhaustive_detail(max_n=max_n) == expected
+        "reduce-4-as-disappear", "move-minus-jumps-2", "reduce-keeps-start",
+        "reduce-as-move-minus", "expand-as-reduce", "reduce-as-merge", "expand-as-merge"])
+def test_label_mutant_verdicts(monkeypatch, relabel, geometry, expected):
+    """A mislabelled rule of one case of the calculus, or a rule's move
+    misstated in `words._GEOMETRY`, is rejected with the message that names
+    the first start word and check it breaks."""
+    if relabel is not None:
+        original = words._base_rule
+        monkeypatch.setattr(words, "_base_rule", lambda w, start, length:
+                            relabel(length, original(w, start, length)))
+    for rule, move in geometry.items():
+        monkeypatch.setitem(words._GEOMETRY, rule, move)
+    assert _exhaustive_detail() == expected
 
 
 def _reported_interlaced(monkeypatch, word, interlaced):
@@ -497,7 +519,7 @@ class TestEachWalkCheckFires:
     def test_doomed_sequence_must_not_survive(self, monkeypatch):
         # the first round of 8 letters that runs Move- ('+' majority)
         w = W("+++--+--")
-        assert Rule.MOVE_MINUS in classify_transition(w, step_word(w))
+        assert Rule.MOVE_MINUS in _label(w)[0]
         _reported_interlaced(monkeypatch, step_word(w), True)
         assert re.fullmatch(r"\+\+\+--\+--: Move- sequence \d+ survived", _exhaustive_detail())
 
@@ -522,10 +544,10 @@ class TestRotationClasses:
                 # a span is read as the positions it covers: a span of the
                 # whole ring starts at the first '+' of its word
                 rules = {words._span_mask((s + 1) % n, length, n): rule
-                         for (s, length), rule in zip(decompose(w), classify_transition(w, w2))}
+                         for (s, length), rule in zip(decompose(w), _label(w, w2)[0])}
                 spans = [words._span_mask(*span, n) for span in decompose(sw)]
                 assert set(spans) == set(rules), w
-                assert dict(zip(spans, classify_transition(sw, sw2))) == rules, w
+                assert dict(zip(spans, _label(sw, sw2)[0])) == rules, w
 
     def test_one_judged_word_per_class(self, monkeypatch):
         judged = []
